@@ -38,6 +38,18 @@ const FAIL_LIMIT: f64 = 0.25;
 /// millisecond-plus workloads (the ring ΔT measurement above all).
 const FAIL_FLOOR_S: f64 = 1e-3;
 
+/// Runs `f` with the worker pool capped at one thread, so the lane
+/// sections report per-core throughput on any host: uncapped, the scalar
+/// rows fan their dies out over the cores and the batched rows run their
+/// two ΔT runs concurrently. The K = 16/32 speedup floors and the
+/// `--engine auto` tuning are per-core figures.
+fn on_one_core<T>(f: impl FnOnce() -> T) -> T {
+    rotsv::num::parallel::set_thread_limit(std::num::NonZeroUsize::new(1));
+    let out = f();
+    rotsv::num::parallel::set_thread_limit(None);
+    out
+}
+
 /// Times `f` over enough repetitions to fill ~50 ms and returns the
 /// per-call mean in seconds.
 fn time_per_call<O>(mut f: impl FnMut() -> O) -> f64 {
@@ -1047,14 +1059,14 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--hetero-probe") {
-        run_batched_refill_hetero();
+        on_one_core(run_batched_refill_hetero);
         return;
     }
     let kernels = run_kernels();
     let transients = run_transients();
-    let batched = run_batched_vs_scalar();
-    let refill = run_batched_refill();
-    let refill_hetero = run_batched_refill_hetero();
+    let batched = on_one_core(run_batched_vs_scalar);
+    let refill = on_one_core(run_batched_refill);
+    let refill_hetero = on_one_core(run_batched_refill_hetero);
     let obs_overhead = run_obs_overhead();
     let ring_overhead = run_ring_overhead();
     let ledger_overhead = run_ledger_overhead();

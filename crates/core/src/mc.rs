@@ -457,12 +457,7 @@ pub fn delta_t_fault_sweep_with_engine(
             });
             results
                 .into_iter()
-                .map(|r| {
-                    r.map_err(|p| SpiceError::WorkerPanic {
-                        index: p.index,
-                        payload: p.payload,
-                    })?
-                })
+                .map(|r| r?)
                 .collect::<Result<Vec<_>, _>>()?
         }
         McEngine::Auto => unreachable!("resolve_engine returns a concrete engine"),
@@ -553,15 +548,7 @@ fn scalar_measurements(
         let die = Die::new(spread, die_seed(seed, i));
         bench.measure_delta_t(vdd, faults, under_test, &die)
     });
-    results
-        .into_iter()
-        .map(|r| {
-            r.map_err(|p| SpiceError::WorkerPanic {
-                index: p.index,
-                payload: p.payload,
-            })?
-        })
-        .collect()
+    results.into_iter().map(|r| r?).collect()
 }
 
 /// Orders the sample indices into variation cohorts: dies of similar

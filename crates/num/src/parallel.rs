@@ -12,7 +12,13 @@
 //! behind whichever chunk drew the expensive dies. With self-scheduling
 //! every worker pulls the next unclaimed index the moment it finishes
 //! its current one.
+//!
+//! Maps nest without multiplying threads: a map called from inside a
+//! worker runs inline on that worker, so [`set_thread_limit`] bounds the
+//! total number of threads a nested fan-out uses, not the threads per
+//! level.
 
+use std::cell::Cell;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,6 +26,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide worker cap; 0 means "auto" (available parallelism).
 static THREAD_LIMIT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on the workers of [`run_self_scheduled`]: a map started from
+    /// one runs inline instead of spawning a second level of workers.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Caps the number of worker threads [`parallel_map`] may use
 /// process-wide; `None` restores the default (available parallelism).
@@ -86,7 +98,8 @@ fn payload_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// on this to record a failed sample and continue.
 ///
 /// `f` is wrapped in [`AssertUnwindSafe`]: callers must not rely on
-/// shared state mutated by a panicking invocation.
+/// shared state mutated by a panicking invocation. Called from inside
+/// another map's worker, the map runs inline on that worker.
 pub fn try_parallel_map<T, F>(n: usize, f: F) -> Vec<Result<T, WorkerPanic>>
 where
     T: Send,
@@ -99,7 +112,7 @@ where
         })
     };
     let threads = effective_threads(n);
-    if threads <= 1 || n <= 1 {
+    if threads <= 1 || n <= 1 || IN_WORKER.with(Cell::get) {
         return (0..n).map(guarded).collect();
     }
     run_self_scheduled(n, threads, &guarded)
@@ -122,6 +135,7 @@ where
             .map(|_| {
                 let next = &next;
                 scope.spawn(move || {
+                    IN_WORKER.with(|w| w.set(true));
                     let mut mine = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -284,6 +298,42 @@ mod tests {
         assert!(
             slow_count < n / threads,
             "slow worker ran {slow_count} of {n} items; the queue was not stolen from it"
+        );
+    }
+
+    /// A map inside a map's worker runs inline on that worker, so the
+    /// nested fan-out never has more closures in flight than the outer
+    /// worker count. Driven through `run_self_scheduled` with two
+    /// workers so the test does not depend on the process-wide cap
+    /// other tests change.
+    #[test]
+    fn nested_map_never_exceeds_the_outer_workers() {
+        let threads = 2;
+        let (active, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let inner = |j: usize| {
+            let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            active.fetch_sub(1, Ordering::SeqCst);
+            j
+        };
+        let outer = |i: usize| {
+            let caller = std::thread::current().id();
+            let ran_on: Vec<_> = parallel_map(4, |j| {
+                inner(j);
+                std::thread::current().id()
+            });
+            assert!(
+                ran_on.iter().all(|&t| t == caller),
+                "inner map left its worker"
+            );
+            i
+        };
+        let out = run_self_scheduled(8, threads, &outer);
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        assert!(
+            peak.load(Ordering::SeqCst) <= threads,
+            "{} closures ran at once under {threads} workers",
+            peak.load(Ordering::SeqCst)
         );
     }
 

@@ -65,22 +65,23 @@ pub enum EventKind {
     /// A span closed; operands as in [`EventKind::SpanBegin`].
     SpanEnd = 1,
     /// A Monte-Carlo lane was seated with a fresh die at engine start;
-    /// `a` = lane, `b` = die index.
+    /// `a` = engine session and lane ([`lane_operand`]), `b` = die index.
     LaneSeat = 2,
-    /// A lane finished its die; `a` = lane, `b` = die index.
+    /// A lane finished its die; operands as in [`EventKind::LaneSeat`].
     LaneRetire = 3,
-    /// A lane was refilled with a queued die mid-run; `a` = lane,
-    /// `b` = die index.
+    /// A lane was refilled with a queued die mid-run; operands as in
+    /// [`EventKind::LaneSeat`].
     LaneRefill = 4,
-    /// A transient step was accepted; `a` = lane (or `LANE_NONE` for
-    /// the scalar engine), `b` = Newton iterations spent, `value` =
-    /// accepted dt in seconds.
+    /// A transient step was accepted; `a` = session and lane (or
+    /// `LANE_NONE` for the scalar engine), `b` = Newton iterations
+    /// spent, `value` = accepted dt in seconds.
     StepAccepted = 5,
     /// Pivot growth invalidated a cached analysis and forced a fresh
-    /// symbolic pass; `a` = lane, `b` = analyses performed.
+    /// symbolic pass; `a` = session and lane, `b` = analyses performed.
     Reanalysis = 6,
     /// End-of-super-iteration occupancy sample; `a` = busy lanes,
-    /// `b` = total lanes, `value` = busy fraction.
+    /// `b` = session and total lanes ([`lane_operand`]), `value` = busy
+    /// fraction.
     Occupancy = 7,
 }
 
@@ -106,6 +107,34 @@ pub const LANE_NONE: u32 = OPERAND_MASK;
 /// Operands are stored in 28 bits each (values are truncated); plenty
 /// for lane, die, path and thread ids.
 const OPERAND_MASK: u32 = (1 << 28) - 1;
+
+/// Low bits of a lane operand holding the lane; the bits above hold the
+/// engine session.
+const LANE_BITS: u32 = 12;
+
+/// Session ids cycle below this, so no packed operand equals
+/// [`LANE_NONE`].
+const SESSION_CYCLE: u32 = OPERAND_MASK >> LANE_BITS;
+
+/// A fresh id for one batched-engine session. Ids are unique among the
+/// last 65 535 sessions, which is what lets the trace exporter tell
+/// apart the lanes of engines running at the same time.
+pub fn next_session() -> u32 {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed) % SESSION_CYCLE
+}
+
+/// Packs an engine session and a lane into one event operand: the
+/// session in the high 16 bits, the lane in the low 12 (lanes past 4095
+/// alias).
+pub fn lane_operand(session: u32, lane: usize) -> u32 {
+    ((session % SESSION_CYCLE) << LANE_BITS) | (lane as u32 & ((1 << LANE_BITS) - 1))
+}
+
+/// Splits a [`lane_operand`] into `(session, lane)`.
+pub fn split_lane_operand(a: u32) -> (u32, u32) {
+    (a >> LANE_BITS, a & ((1 << LANE_BITS) - 1))
+}
 
 /// One recorded telemetry event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -336,6 +365,17 @@ mod tests {
         });
         assert_eq!(ring.len() as u64 + ring.dropped(), 400);
         assert_eq!(ring.snapshot().len(), 64);
+    }
+
+    #[test]
+    fn lane_operands_round_trip_and_never_collide_with_lane_none() {
+        for (session, lane) in [(0, 0), (7, 31), (SESSION_CYCLE - 1, 4095)] {
+            let a = lane_operand(session, lane);
+            assert_eq!(a & OPERAND_MASK, a, "fits the 28-bit operand");
+            assert_ne!(a, LANE_NONE);
+            assert_eq!(split_lane_operand(a), (session, lane as u32));
+        }
+        assert_ne!(next_session(), next_session());
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! ```
 
 use std::process::Command;
+use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
@@ -60,17 +61,23 @@ pub struct ManifestInputs {
     pub solver_stats: Option<Json>,
 }
 
-/// The current git revision, or `"unknown"` outside a git checkout.
+/// The git revision of the working directory, or `"unknown"` outside a
+/// git checkout. Resolved once per process: callers on hot paths (a
+/// daemon's per-job `done` trailer) never fork `git` again.
 pub fn git_rev() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+    static REV: OnceLock<String> = OnceLock::new();
+    REV.get_or_init(|| {
+        Command::new("git")
+            .args(["rev-parse", "HEAD"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|s| s.trim().to_owned())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_owned())
+    })
+    .clone()
 }
 
 /// Builds a schema-version-1 manifest from run inputs, a span report

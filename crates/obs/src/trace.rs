@@ -15,14 +15,23 @@
 //!   per-lane 0/1 occupancy counters plus the engine's sampled
 //!   `lanes busy` counter make refill gaps visible.
 //!
+//! Lane events carry their engine session ([`lane_operand`]), so engines
+//! running at the same time — the two runs of a ΔT measurement, two
+//! daemon workers — never close each other's slices. Each session gets
+//! a display slot: sessions that overlap in time get distinct slots,
+//! and sessions run back to back share slot 0's tracks (`lane 3`,
+//! `lane3 busy`, `lanes busy`); a later slot's names carry a `#slot`
+//! suffix.
+//!
 //! Slices still open when the ring was snapshotted (a hung lane, an
 //! unclosed span) are emitted to the last seen timestamp and tagged
 //! `"unfinished": true` rather than dropped.
 
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use crate::event::{event_ring, Event, EventKind, LANE_NONE};
+use crate::event::{event_ring, lane_operand, split_lane_operand, Event, EventKind, LANE_NONE};
 use crate::json::Json;
 use crate::span;
 
@@ -98,7 +107,7 @@ struct OpenLane {
     newton_iters: u64,
 }
 
-fn lane_slice(lane: u32, open: OpenLane, t1_ns: u64, unfinished: bool) -> Json {
+fn lane_slice(track: u32, open: OpenLane, t1_ns: u64, unfinished: bool) -> Json {
     let mut args = vec![
         ("die", Json::Num(f64::from(open.die))),
         ("steps", Json::Num(open.steps as f64)),
@@ -111,11 +120,63 @@ fn lane_slice(lane: u32, open: OpenLane, t1_ns: u64, unfinished: bool) -> Json {
         "mc_sample",
         "lane",
         PID_LANES,
-        lane,
+        track,
         open.t0_ns,
         t1_ns,
         args,
     )
+}
+
+/// The engine session of a lane-timeline event.
+fn session_of(e: &Event) -> Option<u32> {
+    match e.kind {
+        EventKind::LaneSeat
+        | EventKind::LaneRetire
+        | EventKind::LaneRefill
+        | EventKind::Reanalysis => Some(split_lane_operand(e.a).0),
+        EventKind::StepAccepted if e.a != LANE_NONE => Some(split_lane_operand(e.a).0),
+        EventKind::Occupancy => Some(split_lane_operand(e.b).0),
+        _ => None,
+    }
+}
+
+/// Display slot per session over time-sorted `events`: each session
+/// takes the lowest slot whose previous session ended by its first
+/// event (greedy interval colouring, so the slot count is the largest
+/// number of sessions ever live at once).
+fn session_slots(events: &[Event]) -> HashMap<u32, u32> {
+    let mut spans: HashMap<u32, (u64, u64)> = HashMap::new();
+    for e in events {
+        if let Some(session) = session_of(e) {
+            spans.entry(session).or_insert((e.t_ns, e.t_ns)).1 = e.t_ns;
+        }
+    }
+    let mut order: Vec<(u32, (u64, u64))> = spans.into_iter().collect();
+    order.sort_unstable_by_key(|&(session, (t0, _))| (t0, session));
+    let mut slot_end: Vec<u64> = Vec::new();
+    order
+        .into_iter()
+        .map(|(session, (t0, t1))| {
+            let slot = match slot_end.iter().position(|&end| end <= t0) {
+                Some(free) => free,
+                None => {
+                    slot_end.push(0);
+                    slot_end.len() - 1
+                }
+            };
+            slot_end[slot] = t1;
+            (session, slot as u32)
+        })
+        .collect()
+}
+
+/// Name suffix of a display slot's tracks: none for slot 0.
+fn slot_suffix(slot: u32) -> String {
+    if slot == 0 {
+        String::new()
+    } else {
+        format!(" #{slot}")
+    }
 }
 
 /// Renders the current contents of the global event ring as a Chrome
@@ -142,16 +203,31 @@ pub fn render_chrome_trace() -> Json {
         meta_process(PID_LANES, "lanes"),
     ];
     let mut span_tids: Vec<u32> = Vec::new();
-    let mut lanes: Vec<u32> = Vec::new();
+    // Lane tracks as `lane_operand(slot, lane)` ids.
+    let mut tracks: Vec<u32> = Vec::new();
     // Per-thread stacks of open (path id, t_ns) span frames.
-    let mut span_stacks: std::collections::HashMap<u32, Vec<(u32, u64)>> = Default::default();
-    // Per-lane open interval.
-    let mut open_lanes: std::collections::HashMap<u32, OpenLane> = Default::default();
-
-    let note_lane = |lanes: &mut Vec<u32>, lane: u32| {
-        if !lanes.contains(&lane) {
-            lanes.push(lane);
+    let mut span_stacks: HashMap<u32, Vec<(u32, u64)>> = Default::default();
+    // Open interval per (session, lane) operand.
+    let mut open_lanes: HashMap<u32, OpenLane> = Default::default();
+    let slots = session_slots(&events);
+    // The display track of a (session, lane) operand, noted on first use.
+    let mut track_of = |operand: u32| -> u32 {
+        let (session, lane) = split_lane_operand(operand);
+        let track = lane_operand(slots[&session], lane as usize);
+        if !tracks.contains(&track) {
+            tracks.push(track);
         }
+        track
+    };
+    let busy_counter = |track: u32, t_ns: u64, busy: f64| {
+        let (slot, lane) = split_lane_operand(track);
+        counter(
+            format!("lane{lane} busy{}", slot_suffix(slot)),
+            track,
+            t_ns,
+            "busy",
+            busy,
+        )
     };
 
     for e in &events {
@@ -181,18 +257,12 @@ pub fn render_chrome_trace() -> Json {
                 }
             }
             EventKind::LaneSeat | EventKind::LaneRefill => {
-                note_lane(&mut lanes, e.a);
+                let track = track_of(e.a);
                 if let Some(open) = open_lanes.remove(&e.a) {
                     // Retire was dropped: close the stale interval here.
-                    out.push(lane_slice(e.a, open, e.t_ns, true));
+                    out.push(lane_slice(track, open, e.t_ns, true));
                 } else {
-                    out.push(counter(
-                        format!("lane{} busy", e.a),
-                        e.a,
-                        e.t_ns,
-                        "busy",
-                        1.0,
-                    ));
+                    out.push(busy_counter(track, e.t_ns, 1.0));
                 }
                 open_lanes.insert(
                     e.a,
@@ -205,17 +275,11 @@ pub fn render_chrome_trace() -> Json {
                 );
             }
             EventKind::LaneRetire => {
-                note_lane(&mut lanes, e.a);
+                let track = track_of(e.a);
                 if let Some(open) = open_lanes.remove(&e.a) {
-                    out.push(lane_slice(e.a, open, e.t_ns, false));
+                    out.push(lane_slice(track, open, e.t_ns, false));
                 }
-                out.push(counter(
-                    format!("lane{} busy", e.a),
-                    e.a,
-                    e.t_ns,
-                    "busy",
-                    0.0,
-                ));
+                out.push(busy_counter(track, e.t_ns, 0.0));
             }
             EventKind::StepAccepted => {
                 if e.a != LANE_NONE {
@@ -226,7 +290,7 @@ pub fn render_chrome_trace() -> Json {
                 }
             }
             EventKind::Reanalysis => {
-                note_lane(&mut lanes, e.a);
+                let track = track_of(e.a);
                 out.push(obj(vec![
                     ("name", Json::Str("reanalysis".into())),
                     ("cat", Json::Str("lane".into())),
@@ -234,14 +298,15 @@ pub fn render_chrome_trace() -> Json {
                     ("s", Json::Str("t".into())),
                     ("ts", us(e.t_ns)),
                     ("pid", Json::Num(PID_LANES)),
-                    ("tid", Json::Num(f64::from(e.a))),
+                    ("tid", Json::Num(f64::from(track))),
                     ("args", obj(vec![("analyses", Json::Num(f64::from(e.b)))])),
                 ]));
             }
             EventKind::Occupancy => {
+                let slot = slots[&split_lane_operand(e.b).0];
                 out.push(counter(
-                    "lanes busy".into(),
-                    0,
+                    format!("lanes busy{}", slot_suffix(slot)),
+                    lane_operand(slot, 0),
                     e.t_ns,
                     "busy",
                     f64::from(e.a),
@@ -250,8 +315,8 @@ pub fn render_chrome_trace() -> Json {
         }
     }
     // Close anything still open at the last seen timestamp.
-    for (lane, open) in open_lanes {
-        out.push(lane_slice(lane, open, last_ns, true));
+    for (operand, open) in open_lanes {
+        out.push(lane_slice(track_of(operand), open, last_ns, true));
     }
     for (tid, stack) in span_stacks {
         for (id, t0) in stack.into_iter().rev() {
@@ -268,9 +333,14 @@ pub fn render_chrome_trace() -> Json {
     for tid in span_tids {
         out.push(meta_thread(PID_SPANS, tid, format!("thread {tid}")));
     }
-    lanes.sort_unstable();
-    for lane in lanes {
-        out.push(meta_thread(PID_LANES, lane, format!("lane {lane}")));
+    tracks.sort_unstable();
+    for track in tracks {
+        let (slot, lane) = split_lane_operand(track);
+        out.push(meta_thread(
+            PID_LANES,
+            track,
+            format!("lane {lane}{}", slot_suffix(slot)),
+        ));
     }
 
     let ring = event_ring();
@@ -302,7 +372,7 @@ pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{record_event, reset_events, set_events};
+    use crate::event::{lane_operand, record_event, reset_events, set_events};
     use crate::span::SpanGuard;
 
     fn events_named<'a>(doc: &'a Json, name: &str) -> Vec<&'a Json> {
@@ -378,6 +448,52 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(0.0)
         );
+    }
+
+    /// Two sessions seat the same lane number at overlapping times, then
+    /// a third runs after both: the overlapping pair closes cleanly on
+    /// two tracks, and the later session reuses the first one's track.
+    #[test]
+    fn overlapping_sessions_get_their_own_lane_tracks() {
+        let _g = crate::span::tests_gate();
+        set_events(true);
+        reset_events();
+        let (s1, s2, s3) = (5, 6, 7);
+        for s in [s1, s2] {
+            record_event(EventKind::LaneSeat, lane_operand(s, 0), 0, 0.0);
+        }
+        for s in [s1, s2] {
+            record_event(EventKind::StepAccepted, lane_operand(s, 0), 2, 1e-12);
+            record_event(EventKind::Occupancy, 1, lane_operand(s, 1), 1.0);
+        }
+        for s in [s2, s1] {
+            record_event(EventKind::LaneRetire, lane_operand(s, 0), 0, 0.0);
+        }
+        record_event(EventKind::LaneSeat, lane_operand(s3, 0), 1, 0.0);
+        record_event(EventKind::LaneRetire, lane_operand(s3, 0), 1, 0.0);
+        let doc = render_chrome_trace();
+        set_events(false);
+        reset_events();
+
+        let slices = events_named(&doc, "mc_sample");
+        assert_eq!(slices.len(), 3);
+        assert!(slices
+            .iter()
+            .all(|s| s.get("args").and_then(|a| a.get("unfinished")).is_none()));
+        // Slices close in retire order: session 2, session 1, session 3.
+        let tids: Vec<f64> = slices
+            .iter()
+            .map(|s| s.get("tid").and_then(Json::as_f64).expect("tid"))
+            .collect();
+        assert_ne!(tids[0], tids[1], "overlapping sessions get separate tracks");
+        assert_eq!(tids[1], tids[2], "a later session reuses slot 0");
+        let names: Vec<&str> = events_named(&doc, "thread_name")
+            .iter()
+            .filter_map(|m| m.get("args")?.get("name")?.as_str())
+            .collect();
+        assert_eq!(names, ["lane 0", "lane 0 #1"]);
+        assert!(!events_named(&doc, "lane0 busy #1").is_empty());
+        assert!(!events_named(&doc, "lanes busy #1").is_empty());
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use rotsv_num::linsolve::SolveError;
+use rotsv_num::parallel::WorkerPanic;
 
 /// Errors produced by circuit analyses.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +59,17 @@ impl fmt::Display for SpiceError {
             SpiceError::WorkerPanic { index, payload } => {
                 write!(f, "worker panicked on sample {index}: {payload}")
             }
+        }
+    }
+}
+
+/// A fan-out's captured panic, so `?` carries it out of a
+/// [`rotsv_num::parallel::try_parallel_map`] result.
+impl From<WorkerPanic> for SpiceError {
+    fn from(p: WorkerPanic) -> Self {
+        SpiceError::WorkerPanic {
+            index: p.index,
+            payload: p.payload,
         }
     }
 }
