@@ -142,7 +142,13 @@ impl MeasureOpts {
         self
     }
 
-    fn validate(&self) {
+    /// Checks the options' preconditions, as every measurement does
+    /// before it simulates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` or `max_time` is not positive, or `cycles < 2`.
+    pub fn validate(&self) {
         assert!(self.dt > 0.0, "dt must be positive");
         assert!(self.cycles >= 2, "need at least two cycles to average");
         assert!(self.max_time > 0.0, "max_time must be positive");
