@@ -148,19 +148,20 @@ gate_stage() {
     --trace-out "$artifacts/trace_e3.json" --out "$artifacts/mc-trace" >/dev/null
   ./target/release/experiments validate-trace "$artifacts/trace_e3.json"
 
-  echo "==> batched engine cross-check (agreement with the scalar engine)"
+  echo "==> MC engine agreement (every engine, bit for bit)"
   cargo test -q -p rotsv --release --test batched_engine
 
-  # The batched MC smoke: one real MC experiment on each engine at fast
-  # fidelity. Fast fidelity intentionally misses some paper shape
-  # checks (on both engines), so the gate is that the default engine
-  # (auto, which resolves to the batched refill queue at figure
-  # population sizes) reaches the same verdict on every check as the
-  # pinned scalar cross-check engine — engine selection must never
-  # change a conclusion. run_smoke classifies exit codes: 3 (shape
-  # checks failed) is expected, a crash fails here rather than
-  # producing an empty verdict file.
-  echo "==> batched MC engine smoke (e3/e5 --fast, scalar vs default-auto verdicts)"
+  # The MC engine smoke: one real MC experiment on the scalar schedule
+  # (one die per one-lane session) and on the default (auto, which
+  # resolves to the batched refill queue) at fast fidelity. Every engine
+  # schedules the same per-die lane-engine measurement, so engine
+  # selection must never change a number: the two runs must reach the
+  # same verdict on every shape check and write byte-identical CSVs.
+  # Fast fidelity intentionally misses some paper shape checks (on both
+  # engines); run_smoke classifies exit codes: 3 (shape checks failed)
+  # is expected, a crash fails here rather than producing an empty
+  # verdict file.
+  echo "==> MC engine smoke (e3/e5 --fast, scalar vs default-auto verdicts and CSVs)"
   for exp in e3 e5; do
     run_smoke ./target/release/experiments "$exp" --fast --engine scalar \
       --out "$artifacts/mc-scalar" > "$artifacts/mc-scalar-out-$exp.txt"
@@ -171,13 +172,14 @@ gate_stage() {
     grep -E '✅|❌' "$artifacts/mc-auto-out-$exp.txt" | sed 's/ (.*//' \
       > "$artifacts/mc-auto-checks-$exp.txt"
     diff "$artifacts/mc-scalar-checks-$exp.txt" "$artifacts/mc-auto-checks-$exp.txt"
+    cmp "$artifacts/mc-scalar/$exp.csv" "$artifacts/mc-auto/$exp.csv"
   done
 
-  # Golden signatures are pinned to the scalar engine: no --engine flag
-  # here (the golden subcommand does not take one, and its per-sample
-  # measurements bypass engine selection entirely), so this check holds
-  # under the auto default by construction — and proves it by running
-  # in the same binary whose figure default is auto.
+  # Golden signatures are measured per sample with measure_delta_t, one
+  # die on one lane of the engine every population runs on: no --engine
+  # flag here (the golden subcommand does not take one), and since
+  # engine selection cannot change a number, the check holds under the
+  # auto default that this binary's figure runs use.
   echo "==> golden regression check (experiments golden --check)"
   ./target/release/experiments golden --check 2>&1 | tee "$artifacts/golden-check.txt"
 

@@ -308,12 +308,12 @@ fn run_transients() -> Vec<Json> {
     out
 }
 
-/// Throughput of the batched Monte-Carlo engine against the scalar
-/// engine on the E3-shaped unit of work (one fault-free ring ΔT
-/// measurement per die, process variation on): dies per second at
-/// K = 1, 4, 8, 16, 32, 64 lanes, population == K (so refill never
-/// fires — this isolates the SIMD engine itself; `run_batched_refill`
-/// measures the scheduler). The committed numbers back the "Batched MC"
+/// Throughput of the batched Monte-Carlo schedule against the scalar one
+/// (one die per one-lane session) on the E3-shaped unit of work (one
+/// fault-free ring ΔT measurement per die, process variation on): dies
+/// per second at K = 1, 4, 8, 16, 32, 64 lanes, population == K (so
+/// refill never fires — this isolates the SIMD width itself;
+/// `run_batched_refill` measures the scheduler). The committed numbers back the "Batched MC"
 /// section of PERFORMANCE.md; the per-die wall times join the
 /// regression set, and the K = 16/32 speedups are hard acceptance
 /// gates under `--check` (see [`gate_speedups`]).
@@ -372,8 +372,7 @@ fn run_batched_vs_scalar() -> Vec<Json> {
 /// streamed through K = 4, 8, 16 lanes. Chunked batches decay toward
 /// one busy lane as each batch drains; refill keeps every lane seated
 /// until the queue empties, so the gap widens with K. Also measures the
-/// scalar→batched crossover population size that `--engine auto` uses
-/// (the smallest population the batched queue already wins).
+/// lane table `--engine auto` resolves against.
 fn run_batched_refill() -> Json {
     use rotsv::mc::{delta_t_population_with_engine, McEngine};
     use rotsv::variation::ProcessSpread;
@@ -424,20 +423,6 @@ fn run_batched_refill() -> Json {
         ]));
     }
 
-    // Crossover: the smallest population where the batched queue (at
-    // `auto`'s lane choice) beats the scalar engine. Everything at and
-    // above it runs batched under `--engine auto`.
-    let mut crossover = POPULATION;
-    for n in [1usize, 2, 3, 4, 6, 8] {
-        let scalar = time_pop(n, McEngine::Scalar);
-        let batched = time_pop(n, McEngine::Batched { lanes: n.min(16) });
-        if batched <= scalar {
-            crossover = n;
-            break;
-        }
-    }
-    println!("  scalar->batched crossover: {crossover} samples");
-
     // Auto lane table: for populations at and above each wide-K width,
     // which lane count actually wins? Measured, not assumed — the rows
     // are `[population_floor, lanes]` pairs that `McEngine::Auto` loads
@@ -477,7 +462,6 @@ fn run_batched_refill() -> Json {
 
     Json::Obj(vec![
         ("entries".into(), Json::Arr(entries)),
-        ("crossover_samples".into(), Json::Num(crossover as f64)),
         ("auto_lane_table".into(), table_json),
     ])
 }

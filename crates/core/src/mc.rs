@@ -15,32 +15,33 @@ use rotsv_variation::ProcessSpread;
 use crate::die::Die;
 use crate::measure::{DeltaTMeasurement, TestBench};
 
-/// Which transient engine a Monte-Carlo population runs on.
+/// How a Monte-Carlo population is scheduled onto the lane engine.
+///
+/// Every variant is only a schedule of
+/// [`TestBench::measure_delta_t_stream`] calls, and the lane engine steps
+/// each die by its own policies, so a die's ΔT is `f64::to_bits`-identical
+/// on every variant, lane count and thread cap: engine selection changes
+/// wall time, never a number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum McEngine {
-    /// One scalar adaptive transient per run per die — the reference
-    /// engine; golden signatures and campaign ledgers are recorded
-    /// against it.
+    /// One die per one-lane session ([`TestBench::measure_delta_t`], each
+    /// die on a symbolic cache of its own), dies spread over threads —
+    /// the baseline the lane-parallel schedules are timed against.
     Scalar,
-    /// Picks [`McEngine::Scalar`] or [`McEngine::Batched`] per
-    /// population from its sample count and the measured crossover
-    /// ([`set_auto_crossover`]) — the default for the figure
-    /// experiments.
+    /// [`McEngine::Batched`] at the lane width the measured lane table
+    /// ([`set_auto_lane_table`]) assigns to the population size, capped
+    /// at the population — the default for the figure experiments.
     Auto,
-    /// Streams the whole population through `lanes` structure-of-arrays
-    /// SIMD lanes in one transient per run, with mid-transient lane
-    /// refill and cohort scheduling (see
-    /// `rotsv_spice::transient_queue`). Per-die results are
-    /// bit-identical to [`McEngine::BatchedChunked`] and agree with the
-    /// scalar engine to well under 0.5 % per ΔT.
+    /// Streams the whole population, in cohort order, through `lanes`
+    /// structure-of-arrays SIMD lanes in one session per run, with
+    /// mid-transient lane refill (see `rotsv_spice::transient_stream`).
     Batched {
         /// SIMD lanes the queue streams through (K).
         lanes: usize,
     },
-    /// Fixed batches of up to `lanes` dies per transient in sample
-    /// order, with no refill between batches — the v1 scheduling, kept
-    /// as the cross-check for the refill path (its results must be
-    /// bit-identical to [`McEngine::Batched`] at any lane count).
+    /// Fixed batches of up to `lanes` dies per session in sample order,
+    /// each batch at as many lanes as it has dies, so no refill — the v1
+    /// scheduling, kept as the cross-check for the refill scheduler.
     BatchedChunked {
         /// Dies simulated per batch (K).
         lanes: usize,
@@ -54,24 +55,6 @@ const CHUNKED_FLAG: usize = 1 << (usize::BITS - 1);
 /// `usize::MAX` encodes [`McEngine::Auto`], and otherwise the batched
 /// lane count, with [`CHUNKED_FLAG`] set for the chunked variant.
 static ENGINE_LANES: AtomicUsize = AtomicUsize::new(0);
-
-/// Population size (in samples) at which [`McEngine::Auto`] switches
-/// from scalar to batched. The conservative default of 2 reflects that
-/// the v2 engine's K=1 overhead is within a few percent of scalar; the
-/// experiments binary overwrites it with the crossover measured by
-/// `bench_solver` when a benchmark baseline is available.
-static AUTO_CROSSOVER: AtomicUsize = AtomicUsize::new(2);
-
-/// Sets the scalar→batched crossover population size used by
-/// [`McEngine::Auto`].
-pub fn set_auto_crossover(samples: usize) {
-    AUTO_CROSSOVER.store(samples.max(1), Ordering::Relaxed);
-}
-
-/// The current [`McEngine::Auto`] crossover population size.
-pub fn auto_crossover() -> usize {
-    AUTO_CROSSOVER.load(Ordering::Relaxed)
-}
 
 /// Measured lane table for [`McEngine::Auto`]: rows of
 /// `(population_floor, lanes)`. Empty means "use the built-in default"
@@ -125,15 +108,12 @@ fn auto_lanes_for(samples: usize) -> usize {
     lanes
 }
 
-/// Installs the measured scalar→batched crossover
-/// ([`set_auto_crossover`]) and Auto lane table
-/// ([`set_auto_lane_table`]) from a `bench_solver` baseline file
-/// (`BENCH_solver.json`'s `batched_refill.crossover_samples` and
-/// `batched_refill.auto_lane_table` members). Returns `true` when
-/// anything was installed; a missing or malformed file leaves the
-/// defaults untouched. Both the experiments binary and the screening
-/// server load through here so every frontend resolves `Auto` the same
-/// way.
+/// Installs the measured Auto lane table ([`set_auto_lane_table`]) from
+/// a `bench_solver` baseline file (`BENCH_solver.json`'s
+/// `batched_refill.auto_lane_table` member). Returns `true` when a table
+/// was installed; a missing or malformed file leaves the default
+/// untouched. Both the experiments binary and the screening server load
+/// through here so every frontend resolves `Auto` the same way.
 pub fn load_measured_tuning(path: &std::path::Path) -> bool {
     use rotsv_obs::json::Json;
     let Ok(text) = std::fs::read_to_string(path) else {
@@ -142,36 +122,27 @@ pub fn load_measured_tuning(path: &std::path::Path) -> bool {
     let Ok(doc) = rotsv_obs::json::parse(&text) else {
         return false;
     };
-    let refill = doc.get("batched_refill");
-    let mut installed = false;
-    if let Some(n) = refill
-        .and_then(|r| r.get("crossover_samples"))
-        .and_then(Json::as_f64)
-    {
-        if n >= 1.0 && n.fract() == 0.0 {
-            set_auto_crossover(n as usize);
-            installed = true;
-        }
-    }
-    if let Some(rows) = refill
+    let Some(rows) = doc
+        .get("batched_refill")
         .and_then(|r| r.get("auto_lane_table"))
         .and_then(Json::as_arr)
-    {
-        let mut table = Vec::new();
-        for row in rows {
-            let Some(pair) = row.as_arr() else { continue };
-            let floor = pair.first().and_then(Json::as_f64);
-            let lanes = pair.get(1).and_then(Json::as_f64);
-            if let (Some(f), Some(l)) = (floor, lanes) {
-                if f >= 1.0 && f.fract() == 0.0 && l >= 1.0 && l.fract() == 0.0 {
-                    table.push((f as usize, l as usize));
-                }
+    else {
+        return false;
+    };
+    let mut table = Vec::new();
+    for row in rows {
+        let Some(pair) = row.as_arr() else { continue };
+        let floor = pair.first().and_then(Json::as_f64);
+        let lanes = pair.get(1).and_then(Json::as_f64);
+        if let (Some(f), Some(l)) = (floor, lanes) {
+            if f >= 1.0 && f.fract() == 0.0 && l >= 1.0 && l.fract() == 0.0 {
+                table.push((f as usize, l as usize));
             }
         }
-        if !table.is_empty() {
-            set_auto_lane_table(&table);
-            installed = true;
-        }
+    }
+    let installed = !table.is_empty();
+    if installed {
+        set_auto_lane_table(&table);
     }
     installed
 }
@@ -180,8 +151,9 @@ pub fn load_measured_tuning(path: &std::path::Path) -> bool {
 ///
 /// Backs the experiments binary's `--engine` flag (mirroring
 /// [`rotsv_num::parallel::set_thread_limit`] for `--threads`). Ledgered
-/// campaigns and golden checks always measure per-sample on the scalar
-/// engine and ignore this setting.
+/// campaigns and golden checks measure each sample with
+/// [`TestBench::measure_delta_t`] and ignore this setting; as every
+/// engine gives the same bits, their samples equal any population's.
 ///
 /// # Panics
 ///
@@ -213,22 +185,15 @@ pub fn mc_engine() -> McEngine {
     }
 }
 
-/// Resolves [`McEngine::Auto`] for a population of `samples` dies:
-/// scalar below the measured crossover, otherwise the refill queue at
-/// the lane width the measured lane table ([`set_auto_lane_table`])
-/// assigns to this population size, capped at the population itself.
-/// Explicit engine choices pass through unchanged.
+/// Resolves [`McEngine::Auto`] for a population of `samples` dies: the
+/// refill queue at the lane width the measured lane table
+/// ([`set_auto_lane_table`]) assigns to this population size, capped at
+/// the population itself. Explicit engine choices pass through unchanged.
 pub fn resolve_engine(engine: McEngine, samples: usize) -> McEngine {
     match engine {
-        McEngine::Auto => {
-            if samples < auto_crossover() {
-                McEngine::Scalar
-            } else {
-                McEngine::Batched {
-                    lanes: samples.min(auto_lanes_for(samples)),
-                }
-            }
-        }
+        McEngine::Auto => McEngine::Batched {
+            lanes: samples.min(auto_lanes_for(samples)),
+        },
         other => other,
     }
 }
@@ -314,7 +279,8 @@ pub fn delta_t_population(
 
 /// [`delta_t_population`] on an explicitly chosen engine, ignoring the
 /// process-wide [`set_mc_engine`] selection. Sample `i` is always the
-/// die `Die::new(spread, die_seed(seed, i))`, on either engine.
+/// die `Die::new(spread, die_seed(seed, i))`, and its ΔT is
+/// bit-identical on every engine.
 ///
 /// # Errors
 ///
@@ -322,8 +288,8 @@ pub fn delta_t_population(
 ///
 /// # Panics
 ///
-/// Panics if `samples` is zero or the bench/fault configuration is
-/// inconsistent.
+/// Panics, on the calling thread before any die is simulated, if
+/// `samples` is zero or the bench/fault configuration is inconsistent.
 #[allow(clippy::too_many_arguments)]
 pub fn delta_t_population_with_engine(
     bench: &TestBench,
@@ -335,19 +301,158 @@ pub fn delta_t_population_with_engine(
     samples: usize,
     engine: McEngine,
 ) -> Result<McDeltaT, SpiceError> {
-    assert!(samples > 0, "need at least one sample");
     let span = rotsv_obs::span!("mc_population", "samples" = samples);
     span.field("vdd", vdd);
+    let per_die_faults = vec![faults; samples];
+    measure_population(
+        bench,
+        vdd,
+        &per_die_faults,
+        under_test,
+        spread,
+        seed,
+        engine,
+    )
+}
+
+/// A heterogeneous fault-sweep population: die `i` is measured under its
+/// *own* fault list `per_die_faults[i]` (all lists must share one matrix
+/// topology, e.g. a [`TsvFault::Leakage`] resistance ladder from
+/// hard-stuck to effectively fault-free). Sample `i` is still the die
+/// `Die::new(spread, die_seed(seed, i))`, so the sweep reuses the same
+/// dies as a homogeneous population with the same seed.
+///
+/// On the batched engines the whole sweep streams through one refill
+/// queue (or fixed chunks) per run — stuck dies retire their lanes
+/// early, which is exactly the workload where mid-transient refill and
+/// cohort scheduling pay off over chunking.
+///
+/// # Errors
+///
+/// Propagates the first simulator error encountered, including
+/// [`SpiceError::InvalidCircuit`] when the fault lists mix matrix
+/// topologies on a batched engine.
+///
+/// # Panics
+///
+/// Panics if `per_die_faults` is empty or its lists disagree with the
+/// bench segment count.
+pub fn delta_t_fault_sweep(
+    bench: &TestBench,
+    vdd: f64,
+    per_die_faults: &[Vec<TsvFault>],
+    under_test: &[usize],
+    spread: ProcessSpread,
+    seed: u64,
+) -> Result<McDeltaT, SpiceError> {
+    delta_t_fault_sweep_with_engine(
+        bench,
+        vdd,
+        per_die_faults,
+        under_test,
+        spread,
+        seed,
+        mc_engine(),
+    )
+}
+
+/// [`delta_t_fault_sweep`] on an explicitly chosen engine, ignoring the
+/// process-wide [`set_mc_engine`] selection; each die's ΔT is
+/// bit-identical on every engine.
+///
+/// # Errors
+///
+/// As [`delta_t_fault_sweep`].
+///
+/// # Panics
+///
+/// Same conditions as [`delta_t_fault_sweep`], on the calling thread
+/// before any die is simulated.
+pub fn delta_t_fault_sweep_with_engine(
+    bench: &TestBench,
+    vdd: f64,
+    per_die_faults: &[Vec<TsvFault>],
+    under_test: &[usize],
+    spread: ProcessSpread,
+    seed: u64,
+    engine: McEngine,
+) -> Result<McDeltaT, SpiceError> {
+    let span = rotsv_obs::span!("mc_fault_sweep", "samples" = per_die_faults.len());
+    span.field("vdd", vdd);
+    let per_die_faults: Vec<&[TsvFault]> = per_die_faults.iter().map(Vec::as_slice).collect();
+    measure_population(
+        bench,
+        vdd,
+        &per_die_faults,
+        under_test,
+        spread,
+        seed,
+        engine,
+    )
+}
+
+/// The one population driver: sample `i` is the die
+/// `Die::new(spread, die_seed(seed, i))` under `per_die_faults[i]`, and
+/// `engine` only decides how the samples are scheduled onto
+/// [`TestBench::measure_delta_t_stream`]. The preconditions of every
+/// die are checked here, on the caller, before any fan-out, so they
+/// panic on every engine alike.
+fn measure_population(
+    bench: &TestBench,
+    vdd: f64,
+    per_die_faults: &[&[TsvFault]],
+    under_test: &[usize],
+    spread: ProcessSpread,
+    seed: u64,
+    engine: McEngine,
+) -> Result<McDeltaT, SpiceError> {
+    let samples = per_die_faults.len();
+    assert!(samples > 0, "need at least one sample");
+    let opts = bench.opts_for(vdd);
+    bench.check_runs(vdd, per_die_faults, under_test, &opts);
+    let die = |i| Die::new(spread, die_seed(seed, i));
+    // The batched schedules share one symbolic cache over every session
+    // of both runs, so they perform O(topologies) symbolic analyses.
+    let cache = Arc::new(SymbolicCache::new());
+    let stream = |indices: &[usize], lanes: usize| {
+        let dies: Vec<Die> = indices.iter().map(|&i| die(i)).collect();
+        let dies: Vec<&Die> = dies.iter().collect();
+        let faults: Vec<&[TsvFault]> = indices.iter().map(|&i| per_die_faults[i]).collect();
+        bench.measure_delta_t_stream(vdd, &faults, under_test, &dies, lanes, &opts, &cache)
+    };
     let measurements = match resolve_engine(engine, samples) {
         McEngine::Scalar => {
-            scalar_measurements(bench, vdd, faults, under_test, spread, seed, samples)?
+            // Workers have no span stack of their own: capture this path
+            // so each sample's spans attach under the population's.
+            let parent = rotsv_obs::current_path();
+            let results = rotsv_num::parallel::try_parallel_map(samples, |i| {
+                let sample_span = rotsv_obs::span::SpanGuard::enter_under(parent, "mc_sample");
+                sample_span.field("i", i as f64);
+                bench.measure_delta_t(vdd, per_die_faults[i], under_test, &die(i))
+            });
+            results
+                .into_iter()
+                .map(|r| r?)
+                .collect::<Result<Vec<_>, _>>()?
         }
         McEngine::Auto => unreachable!("resolve_engine returns a concrete engine"),
         McEngine::Batched { lanes } => {
-            queued_measurements(bench, vdd, faults, under_test, spread, seed, samples, lanes)?
+            let order = cohort_order(spread, seed, samples);
+            let mut out: Vec<Option<DeltaTMeasurement>> = vec![None; samples];
+            for (&i, m) in order.iter().zip(stream(&order, lanes)?) {
+                out[i] = Some(m);
+            }
+            out.into_iter()
+                .map(|m| m.expect("every sample measured exactly once"))
+                .collect()
         }
         McEngine::BatchedChunked { lanes } => {
-            batched_measurements(bench, vdd, faults, under_test, spread, seed, samples, lanes)?
+            let all: Vec<usize> = (0..samples).collect();
+            let mut out = Vec::with_capacity(samples);
+            for chunk in all.chunks(lanes.max(1)) {
+                out.extend(stream(chunk, chunk.len())?);
+            }
+            out
         }
     };
     Ok(collect_population(measurements))
@@ -384,173 +489,6 @@ fn collect_population(measurements: Vec<DeltaTMeasurement>) -> McDeltaT {
     out
 }
 
-/// A heterogeneous fault-sweep population: die `i` is measured under its
-/// *own* fault list `per_die_faults[i]` (all lists must share one matrix
-/// topology, e.g. a [`TsvFault::Leakage`] resistance ladder from
-/// hard-stuck to effectively fault-free). Sample `i` is still the die
-/// `Die::new(spread, die_seed(seed, i))`, so the sweep reuses the same
-/// dies as a homogeneous population with the same seed.
-///
-/// On the batched engines the whole sweep streams through one refill
-/// queue (or fixed chunks) per run — stuck dies retire their lanes
-/// early, which is exactly the workload where mid-transient refill and
-/// cohort scheduling pay off over chunking.
-///
-/// # Errors
-///
-/// Propagates the first simulator error encountered.
-///
-/// # Panics
-///
-/// Panics if `per_die_faults` is empty, its lists disagree with the
-/// bench segment count, or the fault lists mix matrix topologies.
-pub fn delta_t_fault_sweep(
-    bench: &TestBench,
-    vdd: f64,
-    per_die_faults: &[Vec<TsvFault>],
-    under_test: &[usize],
-    spread: ProcessSpread,
-    seed: u64,
-) -> Result<McDeltaT, SpiceError> {
-    delta_t_fault_sweep_with_engine(
-        bench,
-        vdd,
-        per_die_faults,
-        under_test,
-        spread,
-        seed,
-        mc_engine(),
-    )
-}
-
-/// [`delta_t_fault_sweep`] on an explicitly chosen engine, ignoring the
-/// process-wide [`set_mc_engine`] selection.
-///
-/// # Errors
-///
-/// Propagates the first simulator error encountered.
-///
-/// # Panics
-///
-/// Same conditions as [`delta_t_fault_sweep`].
-pub fn delta_t_fault_sweep_with_engine(
-    bench: &TestBench,
-    vdd: f64,
-    per_die_faults: &[Vec<TsvFault>],
-    under_test: &[usize],
-    spread: ProcessSpread,
-    seed: u64,
-    engine: McEngine,
-) -> Result<McDeltaT, SpiceError> {
-    let samples = per_die_faults.len();
-    assert!(samples > 0, "need at least one sample");
-    let span = rotsv_obs::span!("mc_fault_sweep", "samples" = samples);
-    span.field("vdd", vdd);
-    let measurements = match resolve_engine(engine, samples) {
-        McEngine::Scalar => {
-            let parent = rotsv_obs::current_path();
-            let results = rotsv_num::parallel::try_parallel_map(samples, |i| {
-                let sample_span = rotsv_obs::span::SpanGuard::enter_under(parent, "mc_sample");
-                sample_span.field("i", i as f64);
-                let die = Die::new(spread, die_seed(seed, i));
-                bench.measure_delta_t(vdd, &per_die_faults[i], under_test, &die)
-            });
-            results
-                .into_iter()
-                .map(|r| r?)
-                .collect::<Result<Vec<_>, _>>()?
-        }
-        McEngine::Auto => unreachable!("resolve_engine returns a concrete engine"),
-        McEngine::Batched { lanes } => {
-            let lanes = lanes.max(1);
-            let cache = Arc::new(SymbolicCache::new());
-            let opts = bench.opts_for(vdd);
-            // Cohort order applies to the dies *and* their fault lists
-            // together: the permutation is pure scheduling either way.
-            let order = cohort_order(spread, seed, samples);
-            let dies: Vec<Die> = order
-                .iter()
-                .map(|&i| Die::new(spread, die_seed(seed, i)))
-                .collect();
-            let die_refs: Vec<&Die> = dies.iter().collect();
-            let fault_refs: Vec<&[TsvFault]> = order
-                .iter()
-                .map(|&i| per_die_faults[i].as_slice())
-                .collect();
-            let queued = bench.measure_delta_t_queue_hetero_with(
-                vdd,
-                &fault_refs,
-                under_test,
-                &die_refs,
-                lanes,
-                &opts,
-                &cache,
-            )?;
-            let mut out: Vec<Option<DeltaTMeasurement>> = vec![None; samples];
-            for (&i, m) in order.iter().zip(queued) {
-                out[i] = Some(m);
-            }
-            out.into_iter()
-                .map(|m| m.expect("every sample measured exactly once"))
-                .collect()
-        }
-        McEngine::BatchedChunked { lanes } => {
-            let lanes = lanes.max(1);
-            let cache = Arc::new(SymbolicCache::new());
-            let opts = bench.opts_for(vdd);
-            let mut out = Vec::with_capacity(samples);
-            let mut start = 0;
-            while start < samples {
-                let end = (start + lanes).min(samples);
-                let dies: Vec<Die> = (start..end)
-                    .map(|i| Die::new(spread, die_seed(seed, i)))
-                    .collect();
-                let die_refs: Vec<&Die> = dies.iter().collect();
-                let fault_refs: Vec<&[TsvFault]> =
-                    (start..end).map(|i| per_die_faults[i].as_slice()).collect();
-                out.extend(bench.measure_delta_t_batch_hetero_with(
-                    vdd,
-                    &fault_refs,
-                    under_test,
-                    &die_refs,
-                    &opts,
-                    &cache,
-                )?);
-                start = end;
-            }
-            out
-        }
-    };
-    Ok(collect_population(measurements))
-}
-
-/// One scalar two-run measurement per die, fanned out across threads.
-fn scalar_measurements(
-    bench: &TestBench,
-    vdd: f64,
-    faults: &[TsvFault],
-    under_test: &[usize],
-    spread: ProcessSpread,
-    seed: u64,
-    samples: usize,
-) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-    // Workers have no span stack of their own: capture this path so each
-    // sample's spans attach under `mc_population` and survive the join
-    // (per-thread collectors flush into the global registry when the
-    // worker's stack empties and when its thread exits).
-    let parent = rotsv_obs::current_path();
-    // Panic-safe fan-out: a die whose worker panics is reported as
-    // `SpiceError::WorkerPanic` with its sample index instead of tearing
-    // down the other workers' scope with no context.
-    let results = rotsv_num::parallel::try_parallel_map(samples, |i| {
-        let sample_span = rotsv_obs::span::SpanGuard::enter_under(parent, "mc_sample");
-        sample_span.field("i", i as f64);
-        let die = Die::new(spread, die_seed(seed, i));
-        bench.measure_delta_t(vdd, faults, under_test, &die)
-    });
-    results.into_iter().map(|r| r?).collect()
-}
-
 /// Orders the sample indices into variation cohorts: dies of similar
 /// variation magnitude become lane neighbors in the refill queue, so
 /// co-resident lanes propose similar step sizes and drain at similar
@@ -568,81 +506,6 @@ fn cohort_order(spread: ProcessSpread, seed: u64, samples: usize) -> Vec<usize> 
         .collect();
     order.sort_by(|&a, &b| score[a].total_cmp(&score[b]).then(a.cmp(&b)));
     order
-}
-
-/// The refill queue: the whole population streams through `lanes` SIMD
-/// lanes in one transient per run, re-seating a lane with the next
-/// queued die the moment its current die's measurement completes. Dies
-/// enter in cohort order ([`cohort_order`]); results return in sample
-/// order. One symbolic cache spans both runs, so the population
-/// performs O(topologies) symbolic analyses, not O(samples).
-#[allow(clippy::too_many_arguments)]
-fn queued_measurements(
-    bench: &TestBench,
-    vdd: f64,
-    faults: &[TsvFault],
-    under_test: &[usize],
-    spread: ProcessSpread,
-    seed: u64,
-    samples: usize,
-    lanes: usize,
-) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-    let lanes = lanes.max(1);
-    let cache = Arc::new(SymbolicCache::new());
-    let opts = bench.opts_for(vdd);
-    let order = cohort_order(spread, seed, samples);
-    let dies: Vec<Die> = order
-        .iter()
-        .map(|&i| Die::new(spread, die_seed(seed, i)))
-        .collect();
-    let die_refs: Vec<&Die> = dies.iter().collect();
-    let queued = bench
-        .measure_delta_t_queue_with(vdd, faults, under_test, &die_refs, lanes, &opts, &cache)?;
-    let mut out: Vec<Option<DeltaTMeasurement>> = vec![None; samples];
-    for (&i, m) in order.iter().zip(queued) {
-        out[i] = Some(m);
-    }
-    Ok(out
-        .into_iter()
-        .map(|m| m.expect("every sample measured exactly once"))
-        .collect())
-}
-
-/// Lockstep batches of up to `lanes` dies, grouped in sample-index
-/// order so die derivation matches the scalar enumeration exactly. One
-/// symbolic cache spans the whole population: every batch of both runs
-/// shares the same matrix topology, so the population performs O(1)
-/// symbolic analyses instead of one per transient.
-#[allow(clippy::too_many_arguments)]
-fn batched_measurements(
-    bench: &TestBench,
-    vdd: f64,
-    faults: &[TsvFault],
-    under_test: &[usize],
-    spread: ProcessSpread,
-    seed: u64,
-    samples: usize,
-    lanes: usize,
-) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-    let lanes = lanes.max(1);
-    let cache = Arc::new(SymbolicCache::new());
-    let opts = bench.opts_for(vdd);
-    let mut out = Vec::with_capacity(samples);
-    let mut start = 0;
-    while start < samples {
-        let end = (start + lanes).min(samples);
-        let batch_span = rotsv_obs::span!("mc_batch", "start" = start);
-        batch_span.field("lanes", (end - start) as f64);
-        let dies: Vec<Die> = (start..end)
-            .map(|i| Die::new(spread, die_seed(seed, i)))
-            .collect();
-        let die_refs: Vec<&Die> = dies.iter().collect();
-        out.extend(
-            bench.measure_delta_t_batch_with(vdd, faults, under_test, &die_refs, &opts, &cache)?,
-        );
-        start = end;
-    }
-    Ok(out)
 }
 
 /// Deterministic per-sample die seed.
@@ -721,9 +584,50 @@ mod tests {
         assert_eq!(a.steps_rejected, b.steps_rejected);
     }
 
-    /// The batched engine must reproduce the scalar population die for
-    /// die: same sample enumeration, ΔT within the 0.5 % agreement
-    /// budget, same stuck classification.
+    /// Every engine the exact-agreement contract covers.
+    const ENGINES: [McEngine; 6] = [
+        McEngine::Scalar,
+        McEngine::Auto,
+        McEngine::Batched { lanes: 1 },
+        McEngine::Batched { lanes: 2 },
+        McEngine::Batched { lanes: 4 },
+        McEngine::BatchedChunked { lanes: 2 },
+    ];
+
+    /// Runs `run` on every engine of [`ENGINES`] at thread caps 1 and 2
+    /// and asserts that each die's ΔT bits, the stuck and reference
+    /// counts, and the stepping counters all equal the scalar run's.
+    /// Returns the scalar run.
+    fn assert_engines_bit_identical(run: impl Fn(McEngine) -> McDeltaT) -> McDeltaT {
+        use rotsv_num::parallel::set_thread_limit;
+        use std::num::NonZeroUsize;
+
+        let bits = |p: &McDeltaT| p.deltas.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        let reference = run(McEngine::Scalar);
+        for cap in [1, 2] {
+            for engine in ENGINES {
+                set_thread_limit(NonZeroUsize::new(cap));
+                let got = run(engine);
+                set_thread_limit(None);
+                let at = format!("{engine:?} at thread cap {cap}");
+                assert_eq!(bits(&got), bits(&reference), "{at}: ΔT bits");
+                assert_eq!(got.stuck_count, reference.stuck_count, "{at}: stuck");
+                assert_eq!(
+                    got.reference_failures, reference.reference_failures,
+                    "{at}: reference failures"
+                );
+                let (a, b) = (&got.stats, &reference.stats);
+                assert_eq!(a.newton_iterations, b.newton_iterations, "{at}: newton");
+                assert_eq!(a.steps_accepted, b.steps_accepted, "{at}: steps");
+                assert_eq!(a.steps_rejected, b.steps_rejected, "{at}: rejects");
+            }
+        }
+        reference
+    }
+
+    /// Every engine reproduces the scalar population die for die, bit
+    /// for bit, and the batched engines share one symbolic analysis
+    /// over the whole population: O(topologies), not O(samples).
     #[test]
     fn batched_population_matches_scalar() {
         let bench = TestBench::fast(1);
@@ -741,19 +645,9 @@ mod tests {
             )
             .unwrap()
         };
-        let scalar = run(McEngine::Scalar);
-        // K = 2 over 5 samples: two full batches plus a remainder lane.
+        let scalar = assert_engines_bit_identical(run);
+        assert_eq!(scalar.deltas.len(), 5);
         let batched = run(McEngine::Batched { lanes: 2 });
-        assert_eq!(scalar.deltas.len(), batched.deltas.len());
-        assert_eq!(scalar.stuck_count, batched.stuck_count);
-        assert_eq!(scalar.reference_failures, batched.reference_failures);
-        for (i, (s, b)) in scalar.deltas.iter().zip(&batched.deltas).enumerate() {
-            let rel = (s - b).abs() / s.abs();
-            assert!(rel < 5e-3, "sample {i}: scalar {s} vs batched {b} ({rel})");
-        }
-        // One topology per run pair for the whole population, shared
-        // through the population-wide cache: O(topologies), not
-        // O(samples) — against 2·samples analyses on the cache-less path.
         assert_eq!(batched.stats.symbolic_analyses, 1);
     }
 
@@ -779,28 +673,22 @@ mod tests {
             resolve_engine(McEngine::BatchedChunked { lanes: 4 }, 1),
             McEngine::BatchedChunked { lanes: 4 }
         );
-        // Auto: scalar below the crossover, capped refill queue above.
-        let saved = auto_crossover();
-        set_auto_crossover(2);
-        assert_eq!(resolve_engine(McEngine::Auto, 1), McEngine::Scalar);
+        // Auto: the refill queue at any population size, capped by it.
         assert_eq!(
-            resolve_engine(McEngine::Auto, 2),
-            McEngine::Batched { lanes: 2 }
+            resolve_engine(McEngine::Auto, 1),
+            McEngine::Batched { lanes: 1 }
+        );
+        assert_eq!(
+            resolve_engine(McEngine::Auto, 8),
+            McEngine::Batched { lanes: 8 }
         );
         assert_eq!(
             resolve_engine(McEngine::Auto, 500),
             McEngine::Batched { lanes: 16 }
         );
-        set_auto_crossover(8);
-        assert_eq!(resolve_engine(McEngine::Auto, 7), McEngine::Scalar);
-        assert_eq!(
-            resolve_engine(McEngine::Auto, 8),
-            McEngine::Batched { lanes: 8 }
-        );
 
         // A measured lane table widens (or narrows) the pick per
         // population size; the population itself still caps the width.
-        set_auto_crossover(2);
         set_auto_lane_table(&[(1, 8), (32, 32), (64, 64)]);
         assert_eq!(
             resolve_engine(McEngine::Auto, 16),
@@ -829,14 +717,12 @@ mod tests {
             resolve_engine(McEngine::Auto, 500),
             McEngine::Batched { lanes: 16 }
         );
-        set_auto_crossover(saved);
     }
 
     /// The refill satellite contract: streaming the population through a
     /// refill queue must be per-die **bit-identical** to the chunked
-    /// (no-refill) batches — cohort reordering and mid-transient
-    /// re-seating are pure scheduling — and within the 0.5 % agreement
-    /// budget of the scalar reference.
+    /// (no-refill) batches and to the scalar engine — cohort reordering
+    /// and mid-transient re-seating are pure scheduling.
     #[test]
     fn refill_population_is_bit_identical_to_chunked() {
         let bench = TestBench::fast(1);
@@ -862,18 +748,14 @@ mod tests {
             queued, chunked,
             "refill must be bit-identical to chunked batching"
         );
-        let scalar = run(McEngine::Scalar);
-        assert_eq!(scalar.deltas.len(), queued.deltas.len());
-        for (i, (s, q)) in scalar.deltas.iter().zip(&queued.deltas).enumerate() {
-            let rel = (s - q).abs() / s.abs();
-            assert!(rel < 5e-3, "sample {i}: scalar {s} vs queued {q} ({rel})");
-        }
+        let bits = |p: &McDeltaT| p.deltas.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run(McEngine::Scalar)), bits(&queued));
     }
 
     /// The heterogeneous fault-sweep contract: a mixed stuck/oscillating
-    /// leakage ladder must classify every die exactly as the scalar
-    /// engine does, and the refill queue must stay bit-identical to the
-    /// chunked cross-check even as stuck dies retire lanes early.
+    /// leakage ladder classifies every die, and measures every ΔT, bit
+    /// for bit alike on every engine, even as stuck dies retire lanes
+    /// early.
     #[test]
     fn hetero_fault_sweep_matches_scalar_and_is_refill_invariant() {
         let bench = TestBench::fast(1);
@@ -896,21 +778,49 @@ mod tests {
             )
             .unwrap()
         };
-        let scalar = run(McEngine::Scalar);
-        let queued = run(McEngine::Batched { lanes: 2 });
-        let chunked = run(McEngine::BatchedChunked { lanes: 2 });
-        assert_eq!(
-            queued, chunked,
-            "hetero refill must be bit-identical to chunked batching"
-        );
+        let scalar = assert_engines_bit_identical(run);
         assert!(scalar.stuck_count >= 1, "the 300 Ω die must be stuck");
-        assert_eq!(scalar.stuck_count, queued.stuck_count);
-        assert_eq!(scalar.reference_failures, queued.reference_failures);
-        assert_eq!(scalar.deltas.len(), queued.deltas.len());
-        for (i, (s, q)) in scalar.deltas.iter().zip(&queued.deltas).enumerate() {
-            let rel = (s - q).abs() / s.abs();
-            assert!(rel < 5e-3, "sample {i}: scalar {s} vs queued {q} ({rel})");
-        }
+        assert!(scalar.deltas.len() >= 3, "the weak leaks oscillate");
+    }
+
+    /// A later die's too-short fault list, on `engine`: the sweep must
+    /// panic on the caller before any fan-out, not come back as a
+    /// `WorkerPanic` from the die's worker.
+    fn sweep_with_short_fault_list(engine: McEngine) {
+        let per_die_faults = vec![vec![TsvFault::None; 2], vec![TsvFault::None]];
+        let _ = delta_t_fault_sweep_with_engine(
+            &TestBench::fast(2),
+            1.1,
+            &per_die_faults,
+            &[0],
+            ProcessSpread::paper(),
+            3,
+            engine,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "fault list")]
+    fn scalar_sweep_fault_list_mismatch_panics_on_the_caller() {
+        sweep_with_short_fault_list(McEngine::Scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault list")]
+    fn auto_sweep_fault_list_mismatch_panics_on_the_caller() {
+        sweep_with_short_fault_list(McEngine::Auto);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault list")]
+    fn batched_sweep_fault_list_mismatch_panics_on_the_caller() {
+        sweep_with_short_fault_list(McEngine::Batched { lanes: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "fault list")]
+    fn chunked_sweep_fault_list_mismatch_panics_on_the_caller() {
+        sweep_with_short_fault_list(McEngine::BatchedChunked { lanes: 1 });
     }
 
     #[test]

@@ -64,10 +64,9 @@ impl TestBench {
     /// The `(enabled, bypassed)` ring configurations of the two-run
     /// procedure at `vdd`: run 1 with the TSVs in `under_test` enabled,
     /// run 2 with every TSV bypassed. This is the single source of the
-    /// configuration construction — every measurement path (scalar,
-    /// batched, queued, and a screening server's streamed units) builds
-    /// from it, which is what makes their per-die results comparable
-    /// bit for bit.
+    /// configuration construction — [`TestBench::measure_delta_t_stream`]
+    /// and a screening server's streamed units both build from it, which
+    /// is what makes their per-die results comparable bit for bit.
     ///
     /// # Panics
     ///
@@ -124,11 +123,13 @@ impl TestBench {
     }
 
     /// Like [`TestBench::measure_delta_t`] but with explicit measurement
-    /// options (no voltage scaling applied).
+    /// options (no voltage scaling applied): the die runs through
+    /// [`TestBench::measure_delta_t_stream`] on one lane, on a symbolic
+    /// cache of its own.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
+    /// As [`TestBench::measure_delta_t_stream`].
     ///
     /// # Panics
     ///
@@ -141,132 +142,57 @@ impl TestBench {
         die: &Die,
         opts: &MeasureOpts,
     ) -> Result<DeltaTMeasurement, SpiceError> {
-        let _span = rotsv_obs::span!("measure_delta_t", "vdd" = vdd);
-        let opts = *opts;
-        let (enabled_config, config) = self.ro_configs(vdd, faults, under_test);
-
-        // Both runs share one symbolic-analysis cache. They have the same
-        // topology (only the BY source *values* differ) and the first
-        // factorization of each run happens at the x = 0 first Newton
-        // iterate, where the matrix values depend only on device
-        // parameters — identical for the same die. Run 2 therefore reuses
-        // exactly the pivot order it would have derived itself: the
-        // analysis counter halves, the waveform bits do not change.
         let cache = Arc::new(SymbolicCache::new());
-        // Run 1: TSVs under test enabled.
-        let mut ro1 = RingOscillator::build(&enabled_config, &mut die.variation());
-        ro1.set_symbolic_cache(Arc::clone(&cache));
-        let (t1, stats1) = ro1.measure_with_stats(&opts)?;
-        // Run 2: all bypassed. Same die — identical variation stream.
-        let mut ro2 = RingOscillator::build(&config, &mut die.variation());
-        ro2.set_symbolic_cache(cache);
-        let (t2, stats2) = ro2.measure_with_stats(&opts)?;
-        let mut stats = stats1;
-        stats.merge(&stats2);
-        Ok(DeltaTMeasurement { t1, t2, stats })
+        let mut m =
+            self.measure_delta_t_stream(vdd, &[faults], under_test, &[die], 1, opts, &cache)?;
+        Ok(m.remove(0))
     }
 
-    /// The two-run procedure on `dies.len()` dies at once, using the
-    /// batched transient engine: each run simulates all dies as lanes
-    /// of one structure-of-arrays transient, each lane on its own clock
-    /// ([`RingOscillator::measure_batch_with_stats`]). `cache` is owned
-    /// by the caller: a population run passes the same cache to every
-    /// batch so the whole population performs O(topologies) symbolic
-    /// analyses, not O(samples).
+    /// The two-run procedure on a die population, the one implementation
+    /// every ΔT measurement runs through: die `i` under its own fault
+    /// list `per_die_faults[i]` (a homogeneous population repeats one
+    /// list), with its own variation stream, identical in both runs.
+    ///
+    /// Each run streams the dies, in order, through `lanes` SIMD lanes
+    /// with mid-transient refill ([`RingOscillator::measure_stream_with_stats`]):
+    /// rings are built as lanes free up and waveforms are consumed as
+    /// dies retire, so a run holds O(`lanes`) waveforms (each die's ring
+    /// circuit and work counters are still kept until the run ends).
+    /// `lanes == dies.len()` is one fixed batch; `lanes == 1` measures
+    /// one die at a time. The two runs are independent transients and
+    /// run concurrently, as the two items of a
+    /// [`rotsv_num::parallel::try_parallel_map`] (one after the other at
+    /// a thread cap of 1, or inside another map's worker).
+    ///
+    /// Every ring of both runs shares `cache`. The runs have the same
+    /// topology (only the BY source *values* differ), and each run's
+    /// first factorization happens at the x = 0 first Newton iterate,
+    /// where the matrix values depend only on device parameters, so the
+    /// second run reuses exactly the pivot order it would have derived
+    /// itself. A population passes one cache to every call so it performs
+    /// O(topologies) symbolic analyses, not O(dies). The lane engine steps
+    /// every die by its own policies, so a die's results are bit-identical
+    /// at any lane count, thread cap, position and company.
     ///
     /// Returns one measurement per die, in input order. Empty input
     /// returns an empty vector.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`TestBench::measure_delta_t`].
-    pub fn measure_delta_t_batch_with(
-        &self,
-        vdd: f64,
-        faults: &[TsvFault],
-        under_test: &[usize],
-        dies: &[&Die],
-        opts: &MeasureOpts,
-        cache: &Arc<SymbolicCache>,
-    ) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        let span = rotsv_obs::span!("measure_delta_t_batch", "vdd" = vdd);
-        span.field("lanes", dies.len() as f64);
-        let per_die_faults = vec![faults; dies.len()];
-        self.runs(vdd, &per_die_faults, under_test, dies, opts, cache)
-            .lockstep()
-    }
-
-    /// The two-run procedure on a whole die queue streamed through
-    /// `lanes` SIMD lanes with mid-transient refill
-    /// ([`RingOscillator::measure_stream_with_stats`]): each run simulates
-    /// the *entire* population in one transient, seating the next die
-    /// into a lane the moment its predecessor's measurement completes.
-    /// Per-die results are bit-identical to
-    /// [`TestBench::measure_delta_t_batch_with`] over the same dies.
-    ///
-    /// The two runs are independent transients and run concurrently, as
-    /// the two items of a [`rotsv_num::parallel::try_parallel_map`] (one
-    /// after the other at a thread cap of 1). Each is streamed: rings are
-    /// built as lanes free up and waveforms are consumed as dies retire,
-    /// so a run holds O(`lanes`) waveforms (each die's ring circuit and
-    /// work counters are still kept until the run ends).
-    ///
-    /// Returns one measurement per die, in input order. Empty input
-    /// returns an empty vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors, the enabled run's first;
+    /// Propagates simulator errors, the enabled run's first:
+    /// [`SpiceError::InvalidCircuit`] when the fault lists mix matrix
+    /// topologies (every die must share one, e.g. all
+    /// [`TsvFault::Leakage`] with different resistances), and
     /// [`SpiceError::WorkerPanic`] (index 0 = enabled run, 1 = bypassed)
     /// when a run panics.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`TestBench::measure_delta_t`].
+    /// On the calling thread, before either run starts: the conditions
+    /// of [`TestBench::measure_delta_t`] for any die, invalid `opts`, or
+    /// a `per_die_faults`/`dies` length mismatch.
     #[allow(clippy::too_many_arguments)]
-    pub fn measure_delta_t_queue_with(
-        &self,
-        vdd: f64,
-        faults: &[TsvFault],
-        under_test: &[usize],
-        dies: &[&Die],
-        lanes: usize,
-        opts: &MeasureOpts,
-        cache: &Arc<SymbolicCache>,
-    ) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        let span = rotsv_obs::span!("measure_delta_t_queue", "vdd" = vdd);
-        span.field("lanes", lanes as f64);
-        span.field("dies", dies.len() as f64);
-        let per_die_faults = vec![faults; dies.len()];
-        self.runs(vdd, &per_die_faults, under_test, dies, opts, cache)
-            .streamed(lanes)
-    }
-
-    /// Heterogeneous variant of [`TestBench::measure_delta_t_queue_with`]:
-    /// die `i` carries its *own* fault list `per_die_faults[i]` — a fault
-    /// sweep (e.g. a leakage-resistance ladder from hard-stuck to
-    /// effectively fault-free) streamed through one refill queue instead
-    /// of one transient per fault value; concurrent and streamed runs.
-    ///
-    /// Every die's faults must produce the same matrix topology (e.g.
-    /// all [`rotsv_tsv::TsvFault::Leakage`] with different resistances):
-    /// the queue engine asserts topology uniformity across seated lanes.
-    /// Per-die results are bit-identical to measuring each die alone.
-    ///
-    /// # Errors
-    ///
-    /// As [`TestBench::measure_delta_t_queue_with`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`TestBench::measure_delta_t`], plus a
-    /// `per_die_faults`/`dies` length mismatch or mixed-topology faults.
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_delta_t_queue_hetero_with(
+    pub fn measure_delta_t_stream(
         &self,
         vdd: f64,
         per_die_faults: &[&[TsvFault]],
@@ -276,120 +202,19 @@ impl TestBench {
         opts: &MeasureOpts,
         cache: &Arc<SymbolicCache>,
     ) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        let span = rotsv_obs::span!("measure_delta_t_queue_hetero", "vdd" = vdd);
+        let span = rotsv_obs::span!("measure_delta_t", "vdd" = vdd);
         span.field("lanes", lanes as f64);
         span.field("dies", dies.len() as f64);
-        self.runs(vdd, per_die_faults, under_test, dies, opts, cache)
-            .streamed(lanes)
-    }
-
-    /// Heterogeneous variant of [`TestBench::measure_delta_t_batch_with`]
-    /// (fixed lockstep batch, no refill): die `i` carries its own fault
-    /// list. Same topology-uniformity requirement as
-    /// [`TestBench::measure_delta_t_queue_hetero_with`]; the chunked
-    /// cross-check for the heterogeneous refill benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as
-    /// [`TestBench::measure_delta_t_queue_hetero_with`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_delta_t_batch_hetero_with(
-        &self,
-        vdd: f64,
-        per_die_faults: &[&[TsvFault]],
-        under_test: &[usize],
-        dies: &[&Die],
-        opts: &MeasureOpts,
-        cache: &Arc<SymbolicCache>,
-    ) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        let span = rotsv_obs::span!("measure_delta_t_batch_hetero", "vdd" = vdd);
-        span.field("lanes", dies.len() as f64);
-        self.runs(vdd, per_die_faults, under_test, dies, opts, cache)
-            .lockstep()
-    }
-
-    /// The two runs over `dies`, die `i` under `per_die_faults[i]`.
-    fn runs<'a>(
-        &'a self,
-        vdd: f64,
-        per_die_faults: &'a [&'a [TsvFault]],
-        under_test: &'a [usize],
-        dies: &'a [&'a Die],
-        opts: &'a MeasureOpts,
-        cache: &'a Arc<SymbolicCache>,
-    ) -> TwoRuns<'a> {
-        assert_eq!(
-            per_die_faults.len(),
-            dies.len(),
-            "one fault list per die in a heterogeneous sweep"
-        );
-        TwoRuns {
-            bench: self,
-            vdd,
-            per_die_faults,
-            under_test,
-            dies,
-            opts,
-            cache,
-        }
-    }
-}
-
-/// The two runs of the procedure over a die population, all rings on one
-/// symbolic cache: die `i` under `per_die_faults[i]`, with its own
-/// variation stream (identical in both runs).
-struct TwoRuns<'a> {
-    bench: &'a TestBench,
-    vdd: f64,
-    per_die_faults: &'a [&'a [TsvFault]],
-    under_test: &'a [usize],
-    dies: &'a [&'a Die],
-    opts: &'a MeasureOpts,
-    cache: &'a Arc<SymbolicCache>,
-}
-
-impl TwoRuns<'_> {
-    /// Die `i`'s ring for run 1 (`enabled`) or run 2.
-    fn ring(&self, i: usize, enabled: bool) -> RingOscillator {
-        let (en, by) = self
-            .bench
-            .ro_configs(self.vdd, self.per_die_faults[i], self.under_test);
-        let config = if enabled { en } else { by };
-        let mut ro = RingOscillator::build(&config, &mut self.dies[i].variation());
-        ro.set_symbolic_cache(Arc::clone(self.cache));
-        ro
-    }
-
-    /// Both runs as one fixed lockstep batch each, run 1 then run 2: the
-    /// sequential oracle the streamed form is checked against.
-    fn lockstep(&self) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        let run = |enabled: bool| {
-            let ros: Vec<_> = (0..self.dies.len())
-                .map(|i| self.ring(i, enabled))
-                .collect();
-            let refs: Vec<&RingOscillator> = ros.iter().collect();
-            RingOscillator::measure_batch_with_stats(&refs, self.opts)
+        assert_eq!(per_die_faults.len(), dies.len(), "one fault list per die");
+        // Inside a run these would come back as a `WorkerPanic`.
+        self.check_runs(vdd, per_die_faults, under_test, opts);
+        let ring = |i: usize, enabled: bool| {
+            let (en, by) = self.ro_configs(vdd, per_die_faults[i], under_test);
+            let config = if enabled { en } else { by };
+            let mut ro = RingOscillator::build(&config, &mut dies[i].variation());
+            ro.set_symbolic_cache(Arc::clone(cache));
+            ro
         };
-        Ok(pair_runs(run(true)?, run(false)?))
-    }
-
-    /// Both runs at once, each streaming the dies through `lanes` refill
-    /// lanes. The runs share only the cache, which locks while it
-    /// analyses (one analysis per topology still), and the engine is
-    /// composition-independent, so neither run's bits depend on timing.
-    fn streamed(&self, lanes: usize) -> Result<Vec<DeltaTMeasurement>, SpiceError> {
-        // Preconditions panic here, on the caller's thread, as in the
-        // lockstep form; inside a run they would come back as a
-        // `WorkerPanic`.
-        self.opts.validate();
-        for faults in self.per_die_faults {
-            self.bench.ro_configs(self.vdd, faults, self.under_test);
-        }
         // Workers have no span stack: attach each run under the caller's.
         let parent = rotsv_obs::current_path();
         let runs = rotsv_num::parallel::try_parallel_map(2, |run| {
@@ -398,17 +223,17 @@ impl TwoRuns<'_> {
             let _span = rotsv_obs::span::SpanGuard::enter_under(parent, name);
             let mut next = 0;
             let mut source = || {
-                (next < self.dies.len()).then(|| {
+                (next < dies.len()).then(|| {
                     next += 1;
-                    self.ring(next - 1, enabled)
+                    ring(next - 1, enabled)
                 })
             };
-            let mut out = vec![None; self.dies.len()];
+            let mut out = vec![None; dies.len()];
             let mut sink = |i: usize, outcome, stats| out[i] = Some((outcome, stats));
             RingOscillator::measure_stream_with_stats(
                 Vec::new(),
                 lanes,
-                self.opts,
+                opts,
                 &mut source,
                 &mut sink,
             )
@@ -423,6 +248,23 @@ impl TwoRuns<'_> {
             runs.next().expect("run 1")?,
             runs.next().expect("run 2")?,
         ))
+    }
+
+    /// Checks the preconditions of measuring dies under `per_die_faults`
+    /// with `opts`, panicking on the calling thread as
+    /// [`TestBench::measure_delta_t`] documents. Population drivers call
+    /// it before they fan dies out to workers.
+    pub(crate) fn check_runs(
+        &self,
+        vdd: f64,
+        per_die_faults: &[&[TsvFault]],
+        under_test: &[usize],
+        opts: &MeasureOpts,
+    ) {
+        opts.validate();
+        for faults in per_die_faults {
+            self.ro_configs(vdd, faults, under_test);
+        }
     }
 }
 

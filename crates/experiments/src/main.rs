@@ -36,20 +36,20 @@
 //! `--engine` selects the Monte-Carlo transient engine for the figure
 //! runs:
 //!
-//! * `auto` (the default) — scalar below the measured crossover
-//!   population size (read from `BENCH_solver.json` when present),
-//!   otherwise the batched refill queue at up to 16 lanes;
-//! * `scalar` — the per-die reference engine;
+//! * `auto` (the default) — the batched refill queue at the lane width
+//!   the measured lane table (read from `BENCH_solver.json` when
+//!   present) gives the population size, up to 16 lanes without one;
+//! * `scalar` — one die per one-lane session, dies spread over threads;
 //! * `batched[:K]` — the asynchronous K-lane refill queue (default
-//!   K = 8), bit-identical per die across lane counts and within 0.5 %
-//!   of scalar per ΔT;
+//!   K = 8);
 //! * `batched-chunked[:K]` — fixed K-die batches without refill, kept
 //!   as the cross-check for the refill scheduler.
 //!
-//! The `campaign` and `golden` subcommands do not take the flag: ledgers
-//! and golden signatures are always recorded per-sample on the scalar
-//! engine so their byte-identical resume/regression contracts never
-//! depend on engine selection.
+//! Every engine schedules the same per-die lane-engine measurement, so a
+//! die's ΔT is bit-identical on all of them: the flag changes wall time,
+//! never a number. The `campaign` and `golden` subcommands do not take
+//! the flag: ledgers and golden signatures are recorded per sample with
+//! `TestBench::measure_delta_t`, the same engine every population runs.
 //!
 //! `campaign` runs a set of experiments as one resumable unit backed by
 //! an append-only JSONL ledger (see `rotsv-campaign`); `golden` checks
@@ -128,11 +128,11 @@ fn parse_engine(value: &str) -> Result<rotsv::McEngine, String> {
     }
 }
 
-/// Installs the measured scalar→batched crossover and Auto lane table
-/// from the committed benchmark baseline, when one is present.
-/// `--engine auto` consults both per population; without a baseline the
-/// library defaults hold (crossover 2, up to 16 lanes).
-fn load_auto_crossover() {
+/// Installs the measured Auto lane table from the committed benchmark
+/// baseline, when one is present. `--engine auto` consults it per
+/// population; without a baseline the library default holds (up to 16
+/// lanes).
+fn load_auto_lane_table() {
     rotsv::mc::load_measured_tuning(std::path::Path::new("BENCH_solver.json"));
 }
 
@@ -743,9 +743,9 @@ fn main() -> ExitCode {
     let mut out_dir = PathBuf::from("results");
     // Figure runs default to the auto engine; an explicit --engine
     // overrides it below. Campaign/golden are unaffected: they measure
-    // per-sample on the scalar path regardless of this selection.
+    // per sample with measure_delta_t regardless of this selection.
     rotsv::set_mc_engine(rotsv::McEngine::Auto);
-    load_auto_crossover();
+    load_auto_lane_table();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

@@ -11,7 +11,7 @@
 //! Accuracy is a few ulp worse than `libm` (relative error ≲ 1e-14 over
 //! the simulator's operating range), far inside the batched engine's
 //! 0.5 % agreement budget against the scalar engine — which keeps using
-//! `libm` so the golden results stay untouched.
+//! `libm` and is the batched engine's test oracle.
 //!
 //! Three forms of each function coexist, all bit-identical per lane:
 //! the scalar reference (`exp`), the const-K array form (`exp_k`, the

@@ -6,9 +6,8 @@ use rotsv_mosfet::model::VariationSource;
 use rotsv_mosfet::tech45::DriveStrength;
 use rotsv_num::SymbolicCache;
 use rotsv_spice::{
-    transient_batch, transient_queue, transient_stream, Circuit, IntegrationMethod, NodeId,
-    PeriodMeasurement, SolverStats, SourceWaveform, SpiceError, StepControl, TransientResult,
-    TransientSpec, Waveform,
+    transient_queue, transient_stream, Circuit, IntegrationMethod, NodeId, PeriodMeasurement,
+    SolverStats, SourceWaveform, SpiceError, StepControl, TransientResult, TransientSpec, Waveform,
 };
 use rotsv_stdcell::CellBuilder;
 use rotsv_tsv::{Tsv, TsvFault, TsvModel, TsvTech};
@@ -189,7 +188,7 @@ impl OscillationOutcome {
 /// (probe node, V_DD) is shared across a measurement group, so the
 /// streaming path can extract outcomes without keeping the consumed
 /// [`RingOscillator`] alive.
-fn extract_outcome_at(
+fn extract_outcome(
     res: &TransientResult,
     probe: NodeId,
     vdd: f64,
@@ -341,7 +340,9 @@ impl RingOscillator {
         self.circuit.set_symbolic_cache(cache);
     }
 
-    /// Simulates the ring and extracts the oscillation period.
+    /// Simulates the ring and extracts the oscillation period: a
+    /// one-lane [`RingOscillator::measure_queue_with_stats`], the engine
+    /// every ring measurement runs on.
     ///
     /// # Errors
     ///
@@ -353,26 +354,8 @@ impl RingOscillator {
     ///
     /// Panics if `opts` is invalid (non-positive step or budget).
     pub fn measure(&self, opts: &MeasureOpts) -> Result<OscillationOutcome, SpiceError> {
-        self.measure_with_stats(opts).map(|(outcome, _)| outcome)
-    }
-
-    /// Like [`RingOscillator::measure`], additionally returning the
-    /// numerical-work counters of the underlying transient run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors; see [`RingOscillator::measure`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts` is invalid (non-positive step or budget).
-    pub fn measure_with_stats(
-        &self,
-        opts: &MeasureOpts,
-    ) -> Result<(OscillationOutcome, SolverStats), SpiceError> {
-        opts.validate();
-        let res = self.circuit.transient(&self.measure_spec(opts))?;
-        Ok(self.extract_outcome(&res, opts))
+        let mut results = Self::measure_queue_with_stats(&[self], 1, opts)?;
+        Ok(results.remove(0).0)
     }
 
     /// The transient specification of one period measurement.
@@ -385,66 +368,17 @@ impl RingOscillator {
             .stop_after_rising(self.probe, self.vdd / 2.0, needed)
     }
 
-    /// Period extraction from a finished transient (shared by the scalar
-    /// and batched measurement paths).
-    fn extract_outcome(
-        &self,
-        res: &TransientResult,
-        opts: &MeasureOpts,
-    ) -> (OscillationOutcome, SolverStats) {
-        extract_outcome_at(res, self.probe, self.vdd, opts)
-    }
-
     /// Measures `ros` — same-topology rings differing only in element
-    /// values (process variation, fault severity) — in one batched
-    /// transient ([`transient_batch`]): one shared symbolic analysis,
-    /// one Newton loop evaluating all lanes (each on its own clock),
-    /// per-lane retirement as each ring's crossing count completes.
+    /// values (process variation, fault severity) — by streaming them
+    /// through `lanes` SIMD lanes with mid-transient refill
+    /// ([`transient_queue`]): one shared symbolic analysis, one Newton
+    /// loop evaluating all lanes (each on its own clock), and when a
+    /// ring's crossing count completes, the next queued ring is seated
+    /// into its lane immediately. Per-ring outcomes are bit-identical at
+    /// any lane count.
     ///
     /// Returns one `(outcome, stats)` per ring, in input order. Empty
     /// input returns an empty vector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors; [`SpiceError::InvalidCircuit`] when
-    /// the rings are not topology-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts` is invalid or the rings disagree on V_DD or
-    /// probe node (different build configurations).
-    pub fn measure_batch_with_stats(
-        ros: &[&RingOscillator],
-        opts: &MeasureOpts,
-    ) -> Result<Vec<(OscillationOutcome, SolverStats)>, SpiceError> {
-        let Some(first) = ros.first() else {
-            return Ok(Vec::new());
-        };
-        opts.validate();
-        for ro in ros {
-            assert_eq!(ro.vdd, first.vdd, "batched rings must share V_DD");
-            assert_eq!(
-                ro.probe, first.probe,
-                "batched rings must share the probe node"
-            );
-        }
-        let spec = first.measure_spec(opts);
-        let circuits: Vec<&Circuit> = ros.iter().map(|ro| ro.circuit()).collect();
-        let results = transient_batch(&circuits, &spec)?;
-        Ok(ros
-            .iter()
-            .zip(&results)
-            .map(|(ro, res)| ro.extract_outcome(res, opts))
-            .collect())
-    }
-
-    /// Like [`RingOscillator::measure_batch_with_stats`], but streams the
-    /// whole ring queue through `lanes` SIMD lanes with mid-transient
-    /// refill ([`transient_queue`]): when a ring's crossing count
-    /// completes, the next queued ring is seated into its lane
-    /// immediately, so a large population never decays to a half-empty
-    /// batch. Per-ring outcomes are bit-identical to
-    /// [`RingOscillator::measure_batch_with_stats`] at any lane count.
     ///
     /// # Errors
     ///
@@ -474,10 +408,9 @@ impl RingOscillator {
         let spec = first.measure_spec(opts);
         let circuits: Vec<&Circuit> = ros.iter().map(|ro| ro.circuit()).collect();
         let results = transient_queue(&circuits, lanes, &spec)?;
-        Ok(ros
+        Ok(results
             .iter()
-            .zip(&results)
-            .map(|(ro, res)| ro.extract_outcome(res, opts))
+            .map(|res| extract_outcome(res, first.probe, first.vdd, opts))
             .collect())
     }
 
@@ -539,7 +472,7 @@ impl RingOscillator {
             })
         };
         let mut ckt_sink = |die: usize, res: TransientResult| {
-            let (outcome, stats) = extract_outcome_at(&res, probe, vdd, opts);
+            let (outcome, stats) = extract_outcome(&res, probe, vdd, opts);
             sink(die, outcome, stats);
         };
         transient_stream(circuits, lanes, &spec, &mut ckt_source, &mut ckt_sink)
@@ -675,36 +608,29 @@ mod tests {
         assert!(rel < 0.01, "bypassed fault changed period by {rel}");
     }
 
-    /// One batch over rings that differ only in fault severity must
-    /// agree with per-ring scalar measurements to well under the
-    /// engine's 0.5 % acceptance budget, while performing a single
-    /// symbolic analysis for the whole batch.
+    /// The lane engine's oracle: a one-lane ring measurement agrees with
+    /// the scalar [`Circuit::transient`] on the same circuit to well
+    /// under 0.5 % (the two engines assemble in a different association
+    /// order), and classifies a stuck ring the same way.
     #[test]
     fn batched_measure_matches_scalar() {
         let opts = MeasureOpts::fast();
-        let configs: Vec<RoConfig> = [2000.0, 4000.0, 8000.0]
-            .iter()
-            .map(|&r| {
-                RoConfig::new(1, 1.1)
-                    .enable_only(&[0])
-                    .with_fault(0, TsvFault::Leakage { r: Ohms(r) })
-            })
-            .collect();
-        let ros: Vec<RingOscillator> = configs
-            .iter()
-            .map(|c| RingOscillator::build(c, &mut Nominal))
-            .collect();
-        let refs: Vec<&RingOscillator> = ros.iter().collect();
-        let batched = RingOscillator::measure_batch_with_stats(&refs, &opts).unwrap();
-        assert_eq!(batched.len(), ros.len());
-        let analyses: u64 = batched.iter().map(|(_, s)| s.symbolic_analyses).sum();
-        assert_eq!(analyses, 1, "one symbolic analysis for the whole batch");
-        for (ro, (outcome, _)) in ros.iter().zip(&batched) {
-            let scalar = ro.measure(&opts).unwrap();
-            let t_b = outcome.period().expect("batched lane oscillates");
-            let t_s = scalar.period().expect("scalar run oscillates");
-            let rel = (t_b - t_s).abs() / t_s;
-            assert!(rel < 5e-3, "batched {t_b} vs scalar {t_s} (rel {rel})");
+        for r in [300.0, 2000.0, 8000.0] {
+            let config = RoConfig::new(1, 1.1)
+                .enable_only(&[0])
+                .with_fault(0, TsvFault::Leakage { r: Ohms(r) });
+            let ro = RingOscillator::build(&config, &mut Nominal);
+            let lane = ro.measure(&opts).unwrap();
+            let res = ro.circuit().transient(&ro.measure_spec(&opts)).unwrap();
+            let (scalar, _) = extract_outcome(&res, ro.probe, ro.vdd, &opts);
+            match (lane.period(), scalar.period()) {
+                (Some(t_l), Some(t_s)) => {
+                    let rel = (t_l - t_s).abs() / t_s;
+                    assert!(rel < 5e-3, "{r} Ω: lane {t_l} vs scalar {t_s} (rel {rel})");
+                }
+                (None, None) => assert_eq!(r, 300.0, "only the 300 Ω ring sticks"),
+                (l, s) => panic!("{r} Ω: lane {l:?} vs scalar {s:?} disagree on stuck"),
+            }
         }
     }
 

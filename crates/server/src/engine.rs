@@ -7,10 +7,10 @@
 //! index are deliberately absent from the key, so dies from different
 //! jobs — and both phases of the two-run procedure, which share a
 //! topology — interleave in one engine session. Per-die results stay
-//! bit-identical to standalone runs because the batched engine is
+//! bit-identical to standalone runs because the lane engine is
 //! composition-independent and every ring is built through
-//! [`TestBench::ro_configs`], the same construction path the
-//! standalone measurements use.
+//! [`TestBench::ro_configs`], the same construction path
+//! [`TestBench::measure_delta_t_stream`] uses.
 
 use std::cell::RefCell;
 use std::sync::Arc;

@@ -19,9 +19,11 @@
 //!   interleave in the same engine session.
 //! * **Bit-identical verdicts**: every ring is built through
 //!   `TestBench::ro_configs` and `die_seed`, the exact construction
-//!   path of the standalone measurement APIs, and the batched engine
-//!   is composition-independent — so a die's ΔT does not depend on
-//!   what else the server happened to be screening.
+//!   path of `TestBench::measure_delta_t_stream`, the one in-process
+//!   ΔT implementation, and runs on the same composition-independent
+//!   lane engine — so a die's ΔT does not depend on what else the
+//!   server happened to be screening, and equals `measure_delta_t` and
+//!   every Monte-Carlo engine bit for bit.
 //! * **Backpressure** ([`server`]): admission is all-or-nothing
 //!   against a unit bound, oversized jobs are rejected by a per-job
 //!   die cap, and a draining server refuses new work while flushing

@@ -161,9 +161,9 @@ struct BatchWorkspace {
 }
 
 /// The die population an engine streams: either borrowed up front (the
-/// [`transient_batch`]/[`transient_queue`] form, population known and
-/// fixed) or owned and grown mid-run as a [`transient_stream`] source
-/// hands over newly admitted dies.
+/// [`transient_queue`] form, population known and fixed) or owned and
+/// grown mid-run as a [`transient_stream`] source hands over newly
+/// admitted dies.
 enum Population<'a> {
     /// The whole population, borrowed at construction.
     Borrowed(&'a [&'a Circuit]),
@@ -1777,7 +1777,7 @@ impl<'a> QueueEngine<'a> {
                         if adaptive.is_some() {
                             if ls.dt_try <= dt_min * (1.0 + 1e-9) {
                                 return Err(SpiceError::NoConvergence {
-                                    analysis: "transient_batch",
+                                    analysis: "transient_queue",
                                     time: ls.t_next,
                                     iterations: opts.max_iterations,
                                 });
@@ -1787,7 +1787,7 @@ impl<'a> QueueEngine<'a> {
                             ls.halvings += 1;
                             if ls.halvings > MAX_HALVINGS {
                                 return Err(SpiceError::NoConvergence {
-                                    analysis: "transient_batch",
+                                    analysis: "transient_queue",
                                     time: ls.t_next,
                                     iterations: opts.max_iterations,
                                 });
@@ -1953,47 +1953,31 @@ fn validate_spec(ckts: &[&Circuit], spec: &TransientSpec) -> Result<(), SpiceErr
     Ok(())
 }
 
-/// Runs one transient analysis per circuit with all of them sharing one
-/// K-wide SIMD workspace, `K == ckts.len()` (no refill queue). Each die's
-/// trajectory follows the scalar stepping policies independently and is
-/// bit-identical to any other lane composition containing it — see
-/// [`transient_queue`] for the streaming form.
+/// Streams the `ckts` die queue through `lanes` SIMD lanes with
+/// mid-transient refill: when a lane's die finishes (stop condition or
+/// `t_stop`), the next queued die is seated into the lane immediately, so
+/// lanes stay busy until the queue drains. `lanes == ckts.len()` is one
+/// fixed batch (no refill); `lanes == 1` is one die at a time. Results
+/// are returned in population order.
 ///
-/// All lanes share `spec` (grid, stop condition, recorded nodes); lanes
+/// Each die's trajectory follows the scalar stepping policies
+/// independently, so the per-die results are **bit-identical** at any
+/// lane count — refill and lane assignment are pure scheduling. All
+/// lanes share `spec` (grid, stop condition, recorded nodes); lanes
 /// differ through their circuits' element values. Per-lane
-/// [`SolverStats`] attribute symbolic analyses to lane 0 only and split
-/// each super-iteration's wall time over the lanes busy in it, so summing
-/// lanes matches the batch totals.
+/// [`SolverStats`] attribute symbolic analyses to die 0 only and split
+/// each super-iteration's wall time over the lanes busy in it, so
+/// summing dies matches the session totals.
 ///
 /// # Errors
 ///
 /// Returns [`SpiceError::InvalidCircuit`] when the lanes' topologies
 /// differ, [`SpiceError::InvalidSpec`] for a bad grid or a
-/// `start_from_dcop` request (the batched engine starts from
+/// `start_from_dcop` request (the lane engine starts from
 /// `initial_voltages` only — ring measurements never use a dcop seed),
-/// and the scalar engine's convergence/singularity errors otherwise.
-pub fn transient_batch(
-    ckts: &[&Circuit],
-    spec: &TransientSpec,
-) -> Result<Vec<TransientResult>, SpiceError> {
-    transient_queue(ckts, ckts.len(), spec)
-}
-
-/// Streams the `ckts` die queue through `lanes` SIMD lanes with
-/// mid-transient refill: when a lane's die finishes (stop condition or
-/// `t_stop`), the next queued die is seated into the lane immediately, so
-/// lanes stay busy until the queue drains. Results are returned in
-/// population order.
-///
-/// Because every stepping decision is per-lane, the per-die results are
-/// **bit-identical** to [`transient_batch`] over the same dies at any
-/// lane count — refill and lane assignment are pure scheduling.
-///
-/// # Errors
-///
-/// As [`transient_batch`]; an unrecoverable lane (Newton failure at the
-/// minimum step, singular system) aborts the whole queue, matching the
-/// scalar engine's per-die error behavior.
+/// and the scalar engine's convergence/singularity errors otherwise; an
+/// unrecoverable lane (Newton failure at the minimum step, singular
+/// system) aborts the whole queue.
 pub fn transient_queue(
     ckts: &[&Circuit],
     lanes: usize,
@@ -2004,7 +1988,7 @@ pub fn transient_queue(
     }
     validate_spec(ckts, spec)?;
     let k = lanes.clamp(1, ckts.len());
-    let span = rotsv_obs::span!("transient_batch", "k" = k);
+    let span = rotsv_obs::span!("transient_queue", "k" = k);
     let _ = &span;
     let mut eng = QueueEngine::new(Population::Borrowed(ckts), k, spec)?;
     let ring = rotsv_obs::events_enabled();
@@ -2043,8 +2027,8 @@ pub fn transient_queue(
 /// busy lanes), so the dies of a session sum to the session's wall, as
 /// [`transient_queue`]'s do.
 ///
-/// Per-die trajectories are bit-identical to [`transient_batch`] /
-/// [`transient_queue`] over the same circuits: every stepping decision
+/// Per-die trajectories are bit-identical to [`transient_queue`] over
+/// the same circuits: every stepping decision
 /// is per-lane, so admission order and lane assignment are pure
 /// scheduling (see the module docs on composition independence).
 ///
@@ -2125,7 +2109,7 @@ mod tests {
         let built: Vec<(Circuit, NodeId)> = lanes.iter().map(|&(r, c)| rc_circuit(r, c)).collect();
         let ckts: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
         let spec = TransientSpec::new(3e-6, 2e-9).record(&[built[0].1]);
-        let batched = transient_batch(&ckts, &spec).unwrap();
+        let batched = transient_queue(&ckts, ckts.len(), &spec).unwrap();
         assert_eq!(batched.len(), 3);
         for ((ckt, vout), res) in built.iter().zip(&batched) {
             let scalar = ckt.transient(&spec).unwrap();
@@ -2147,7 +2131,7 @@ mod tests {
         let spec = TransientSpec::new(3e-6, 2e-9)
             .record(&[vout])
             .step_control(StepControl::adaptive());
-        let batched = transient_batch(&ckts, &spec).unwrap();
+        let batched = transient_queue(&ckts, ckts.len(), &spec).unwrap();
         let scalar = ckt.transient(&spec).unwrap();
         for res in &batched {
             let wb = res.waveform(vout);
@@ -2170,7 +2154,7 @@ mod tests {
         let spec = TransientSpec::new(3e-6, 2e-9)
             .record(&[vout])
             .stop_after_rising(vout, 0.5, 1);
-        let res = transient_batch(&ckts, &spec).unwrap();
+        let res = transient_queue(&ckts, ckts.len(), &spec).unwrap();
         assert!(res[0].stopped_early());
         assert!(res[1].stopped_early());
         assert!(
@@ -2189,14 +2173,15 @@ mod tests {
         let mut b = Circuit::new();
         let n1 = b.node("in");
         b.add_resistor(n1, Circuit::GROUND, 1e3);
-        let err = transient_batch(&[&a, &b], &TransientSpec::new(1e-6, 1e-9)).unwrap_err();
+        let err = transient_queue(&[&a, &b], 2, &TransientSpec::new(1e-6, 1e-9)).unwrap_err();
         assert!(matches!(err, SpiceError::InvalidCircuit(_)));
     }
 
     #[test]
     fn dcop_start_is_rejected() {
         let (a, _) = rc_circuit(1e3, 1e-9);
-        let err = transient_batch(&[&a], &TransientSpec::new(1e-6, 1e-9).from_dcop()).unwrap_err();
+        let err =
+            transient_queue(&[&a], 1, &TransientSpec::new(1e-6, 1e-9).from_dcop()).unwrap_err();
         assert!(matches!(err, SpiceError::InvalidSpec(_)));
     }
 
@@ -2204,7 +2189,7 @@ mod tests {
     fn batch_shares_one_symbolic_analysis() {
         let built = [rc_circuit(1e3, 1e-9), rc_circuit(1.1e3, 1e-9)];
         let ckts: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
-        let res = transient_batch(&ckts, &TransientSpec::new(1e-7, 1e-9)).unwrap();
+        let res = transient_queue(&ckts, ckts.len(), &TransientSpec::new(1e-7, 1e-9)).unwrap();
         let analyses: u64 = res.iter().map(|r| r.stats().symbolic_analyses).sum();
         assert_eq!(analyses, 1, "one analysis for the whole batch");
         assert!(res[1].stats().factorizations > 0);
@@ -2225,9 +2210,9 @@ mod tests {
             .step_control(StepControl::adaptive())
             .stop_after_rising(vout, 0.5, 1);
         let queued = transient_queue(&ckts, 2, &spec).unwrap();
-        let full = transient_batch(&ckts, &spec).unwrap();
+        let full = transient_queue(&ckts, ckts.len(), &spec).unwrap();
         for (die, (ckt, _)) in built.iter().enumerate() {
-            let solo = transient_batch(&[ckt], &spec).unwrap().remove(0);
+            let solo = transient_queue(&[ckt], 1, &spec).unwrap().remove(0);
             for other in [&queued[die], &full[die]] {
                 assert_eq!(solo.time(), other.time(), "die {die}: time grid diverged");
                 assert_eq!(
@@ -2381,7 +2366,7 @@ mod tests {
         let queued = transient_queue(&ckts, 2, &spec).unwrap();
         assert_eq!(queued.len(), 4);
         for (die, (ckt, _)) in built.iter().enumerate() {
-            let solo = transient_batch(&[ckt], &spec).unwrap().remove(0);
+            let solo = transient_queue(&[ckt], 1, &spec).unwrap().remove(0);
             assert_eq!(
                 solo.time(),
                 queued[die].time(),

@@ -15,6 +15,13 @@
 //!   per-step Newton iteration, fixed or local-truncation-error-adaptive
 //!   time stepping ([`StepControl`]) and automatic sub-stepping on
 //!   convergence trouble ([`transient`]),
+//! * the same stepping policies per lane in a **lane-batched engine**
+//!   ([`batch`]): [`transient_queue`] streams a fixed die population
+//!   through K SIMD lanes and [`transient_stream`] refills lanes from an
+//!   open-ended source. Every ring measurement runs on it, one lane or
+//!   many; [`Circuit::transient`] remains the engine for DC-op-seeded and
+//!   other non-ring circuits and the reference the lane engine is
+//!   checked against,
 //! * **waveform post-processing**: threshold crossings, propagation delay
 //!   and oscillation-period extraction with sub-step interpolation
 //!   ([`waveform`]).
@@ -54,7 +61,7 @@ pub mod source;
 pub mod transient;
 pub mod waveform;
 
-pub use batch::{transient_batch, transient_queue, transient_stream};
+pub use batch::{transient_queue, transient_stream};
 pub use circuit::{Circuit, VSourceId};
 pub use dcop::{DcOpSpec, DcSolution};
 pub use dcsweep::DcSweepResult;

@@ -1,24 +1,34 @@
-//! Cross-check of the batched Monte-Carlo engine against the scalar
-//! reference. The v2 engine steps every lane asynchronously by the
-//! scalar policies, so per-die results are bit-identical across lane
-//! counts, refill scheduling, and the chunked cross-check engine; the
-//! remaining scalar gap (shared first-iterate factorization within a
-//! batch, identical assembly in a different association order) stays
-//! well under 0.5 % per ΔT. Stuck dies must classify identically, and
-//! the whole population must cost O(topologies) symbolic analyses
-//! rather than one per transient.
+//! Exact agreement of every Monte-Carlo engine. Each `McEngine` is only
+//! a schedule of `TestBench::measure_delta_t_stream` calls onto the lane
+//! engine, which steps every lane asynchronously by its own policies, so
+//! a die's ΔT is `f64::to_bits`-identical across engines, lane counts,
+//! refill scheduling, the chunked cross-check and thread caps. Stuck
+//! dies must classify identically, and a batched population must cost
+//! O(topologies) symbolic analyses rather than one per transient.
 
-use rotsv::mc::delta_t_population_with_engine;
+use rotsv::mc::{delta_t_fault_sweep_with_engine, delta_t_population_with_engine};
+use rotsv::num::parallel::set_thread_limit;
 use rotsv::num::units::Ohms;
-use rotsv::ro::{MeasureOpts, OscillationOutcome, RingOscillator, RoConfig};
+use rotsv::ro::{MeasureOpts, RingOscillator, RoConfig};
 use rotsv::tsv::TsvFault;
 use rotsv::variation::ProcessSpread;
-use rotsv::{McEngine, TestBench};
+use rotsv::{McDeltaT, McEngine, TestBench};
+use std::num::NonZeroUsize;
 
 const SAMPLES: usize = 4;
 const LANES: usize = 4;
 
-fn population(faults: &[TsvFault], engine: McEngine) -> rotsv::McDeltaT {
+/// Every engine the exact-agreement contract covers.
+const ENGINES: [McEngine; 6] = [
+    McEngine::Scalar,
+    McEngine::Auto,
+    McEngine::Batched { lanes: 1 },
+    McEngine::Batched { lanes: 2 },
+    McEngine::Batched { lanes: 4 },
+    McEngine::BatchedChunked { lanes: 2 },
+];
+
+fn population(faults: &[TsvFault], engine: McEngine) -> McDeltaT {
     let bench = TestBench::fast(1);
     delta_t_population_with_engine(
         &bench,
@@ -33,26 +43,32 @@ fn population(faults: &[TsvFault], engine: McEngine) -> rotsv::McDeltaT {
     .unwrap()
 }
 
-fn assert_populations_agree(label: &str, faults: &[TsvFault]) {
-    let scalar = population(faults, McEngine::Scalar);
-    let batched = population(faults, McEngine::Batched { lanes: LANES });
-    assert_eq!(
-        scalar.deltas.len(),
-        batched.deltas.len(),
-        "{label}: population sizes differ"
-    );
-    assert_eq!(scalar.stuck_count, batched.stuck_count, "{label}: stuck");
-    assert_eq!(
-        scalar.reference_failures, batched.reference_failures,
-        "{label}: reference failures"
-    );
-    for (i, (s, b)) in scalar.deltas.iter().zip(&batched.deltas).enumerate() {
-        let rel = (s - b).abs() / s.abs();
-        assert!(
-            rel < 5e-3,
-            "{label} sample {i}: scalar ΔT {s} vs batched {b} (rel {rel})"
-        );
+/// Runs `run` on every engine of [`ENGINES`] at thread caps 1 and 2 and
+/// asserts that each die's ΔT bits and the stuck and reference counts
+/// equal the scalar run's. Returns the scalar run.
+fn assert_engines_bit_identical(label: &str, run: impl Fn(McEngine) -> McDeltaT) -> McDeltaT {
+    let bits = |p: &McDeltaT| p.deltas.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    let reference = run(McEngine::Scalar);
+    for cap in [1, 2] {
+        for engine in ENGINES {
+            set_thread_limit(NonZeroUsize::new(cap));
+            let got = run(engine);
+            set_thread_limit(None);
+            let at = format!("{label}: {engine:?} at thread cap {cap}");
+            assert_eq!(bits(&got), bits(&reference), "{at}: ΔT bits");
+            assert_eq!(got.stuck_count, reference.stuck_count, "{at}: stuck");
+            assert_eq!(
+                got.reference_failures, reference.reference_failures,
+                "{at}: reference failures"
+            );
+        }
     }
+    reference
+}
+
+fn assert_populations_agree(label: &str, faults: &[TsvFault]) {
+    let scalar = assert_engines_bit_identical(label, |engine| population(faults, engine));
+    assert_eq!(scalar.total(), SAMPLES, "{label}: population size");
 }
 
 #[test]
@@ -84,7 +100,7 @@ fn stuck_population_classifies_identically() {
     let faults = [TsvFault::Leakage { r: Ohms(300.0) }];
     let scalar = population(&faults, McEngine::Scalar);
     let batched = population(&faults, McEngine::Batched { lanes: LANES });
-    assert_eq!(scalar.stuck_count, SAMPLES);
+    assert_eq!(scalar, batched);
     assert_eq!(batched.stuck_count, SAMPLES);
     assert!(batched.deltas.is_empty());
     assert_eq!(batched.reference_failures, 0);
@@ -92,49 +108,36 @@ fn stuck_population_classifies_identically() {
 
 /// A mixed batch where one lane sticks (strong leakage) while the other
 /// oscillates and retires early: the stuck lane must not disturb the
-/// finished lane's period, and both outcomes must match their scalar
-/// runs. Lanes differ only in the leakage resistor's *value*, so they
-/// are topology-identical and batchable.
+/// finished lane's period, and both outcomes must equal their solo
+/// one-lane runs bit for bit. Lanes differ only in the leakage
+/// resistor's *value*, so they are topology-identical and batchable.
 #[test]
 fn stuck_lane_retirement_leaves_other_lanes_intact() {
     use rotsv::mosfet::model::Nominal;
 
     let opts = MeasureOpts::fast();
-    let configs: Vec<RoConfig> = [300.0, 3000.0]
+    let ros: Vec<RingOscillator> = [300.0, 3000.0]
         .iter()
         .map(|&r| {
-            RoConfig::new(1, 1.1)
+            let config = RoConfig::new(1, 1.1)
                 .enable_only(&[0])
-                .with_fault(0, TsvFault::Leakage { r: Ohms(r) })
+                .with_fault(0, TsvFault::Leakage { r: Ohms(r) });
+            RingOscillator::build(&config, &mut Nominal)
         })
         .collect();
-    let ros: Vec<RingOscillator> = configs
-        .iter()
-        .map(|c| RingOscillator::build(c, &mut Nominal))
-        .collect();
     let refs: Vec<&RingOscillator> = ros.iter().collect();
-    let batched = RingOscillator::measure_batch_with_stats(&refs, &opts).unwrap();
-
-    // Lane 0: strong leakage — stuck, exactly as the scalar run says.
-    let (stuck_outcome, _) = &batched[0];
+    let batched = RingOscillator::measure_queue_with_stats(&refs, 2, &opts).unwrap();
     assert!(
-        !stuck_outcome.is_oscillating(),
+        !batched[0].0.is_oscillating(),
         "300 Ω leakage lane must stick"
     );
-    assert!(!ros[0].measure(&opts).unwrap().is_oscillating());
-
-    // Lane 1: mild leakage — oscillates; period within 0.5 % of scalar.
-    let (osc_outcome, _) = &batched[1];
-    let t_batched = match osc_outcome {
-        OscillationOutcome::Oscillating(m) => m.mean,
-        OscillationOutcome::Stuck { .. } => panic!("3 kΩ leakage lane must oscillate"),
-    };
-    let t_scalar = ros[1].measure(&opts).unwrap().period().unwrap();
-    let rel = (t_batched - t_scalar).abs() / t_scalar;
     assert!(
-        rel < 5e-3,
-        "batched period {t_batched} vs scalar {t_scalar} (rel {rel})"
+        batched[1].0.is_oscillating(),
+        "3 kΩ leakage lane must oscillate"
     );
+    for (ro, (outcome, _)) in ros.iter().zip(&batched) {
+        assert_eq!(&ro.measure(&opts).unwrap(), outcome);
+    }
 }
 
 /// The refill scheduler's determinism contract, exercised at the ring
@@ -169,56 +172,51 @@ fn refill_with_stuck_lane_is_bit_identical_to_solo_runs() {
     assert!(queued[1].0.is_oscillating(), "3 kΩ leakage ring oscillates");
     assert!(queued[2].0.is_oscillating(), "5 kΩ leakage ring oscillates");
     for (i, (ro, (outcome, _))) in ros.iter().zip(&queued).enumerate() {
-        // Bit-identity is an engine property: the solo reference is the
-        // same engine at k = 1 (the scalar engine assembles in a
-        // different association order and agrees only to ~1e-15).
-        let solo = &RingOscillator::measure_batch_with_stats(&[ro], &opts).unwrap()[0].0;
         assert_eq!(
-            solo, outcome,
+            &ro.measure(&opts).unwrap(),
+            outcome,
             "ring {i}: queued outcome must be bit-identical to its solo k=1 run"
         );
-        let scalar = ro.measure(&opts).unwrap();
-        match (&scalar, outcome) {
-            (OscillationOutcome::Oscillating(s), OscillationOutcome::Oscillating(q)) => {
-                let rel = (s.mean - q.mean).abs() / s.mean;
-                assert!(
-                    rel < 5e-3,
-                    "ring {i}: scalar {} vs queued {} ({rel})",
-                    s.mean,
-                    q.mean
-                );
-            }
-            (a, b) => assert_eq!(
-                a.is_oscillating(),
-                b.is_oscillating(),
-                "ring {i}: stuck classification must match the scalar run"
-            ),
-        }
     }
 }
 
 /// `--engine auto` resolves to the refill queue for figure-sized
-/// populations; its results must be exactly the explicit batched run
-/// and agree with the scalar reference like any batched run.
+/// populations; its results must be exactly the explicit batched run.
+/// A leakage ladder with stuck dies, streamed through every engine,
+/// must give every die the same bits.
 #[test]
 fn auto_engine_agrees_with_scalar_and_matches_batched() {
     let faults = [TsvFault::None];
     let auto = population(&faults, McEngine::Auto);
     let batched = population(&faults, McEngine::Batched { lanes: SAMPLES });
     assert_eq!(auto, batched, "auto must resolve to the refill queue");
-    let scalar = population(&faults, McEngine::Scalar);
-    assert_eq!(scalar.deltas.len(), auto.deltas.len());
-    for (i, (s, a)) in scalar.deltas.iter().zip(&auto.deltas).enumerate() {
-        let rel = (s - a).abs() / s.abs();
-        assert!(rel < 5e-3, "sample {i}: scalar {s} vs auto {a} ({rel})");
-    }
+
+    let bench = TestBench::fast(2);
+    let ladder: Vec<Vec<TsvFault>> = [300.0, 1e5, 500.0, 1e7, 1e9, 3e3]
+        .iter()
+        .map(|&r| vec![TsvFault::Leakage { r: Ohms(r) }, TsvFault::None])
+        .collect();
+    let sweep = assert_engines_bit_identical("ladder", |engine| {
+        delta_t_fault_sweep_with_engine(
+            &bench,
+            1.1,
+            &ladder,
+            &[0],
+            ProcessSpread::paper(),
+            31,
+            engine,
+        )
+        .unwrap()
+    });
+    assert!(sweep.stuck_count >= 1, "the 300 Ω die sticks");
+    assert!(sweep.deltas.len() >= 3, "the weak leaks oscillate");
 }
 
 /// The cost contract of the batched engine: one symbolic analysis per
 /// topology for the whole population (the population-wide cache spans
 /// batches and both runs of each batch), not one per transient. The
-/// scalar engine performs one per *measurement* (its cache spans the
-/// two runs of one die), i.e. O(samples).
+/// scalar engine performs one per *measurement* (each die's cache spans
+/// its two runs), i.e. O(samples).
 #[test]
 fn symbolic_analyses_are_per_topology_not_per_sample() {
     let faults = [TsvFault::None];
@@ -251,8 +249,7 @@ fn probe_spans() {
 }
 
 /// Diagnostic (run with `-- --ignored probe_counters --nocapture`):
-/// work counters of scalar vs batched runs — the lockstep step/Newton
-/// inflation numbers quoted in PERFORMANCE.md come from here.
+/// work counters of the scalar and batched schedules.
 #[test]
 #[ignore]
 fn probe_counters() {
@@ -279,15 +276,13 @@ fn probe_counters() {
     }
 }
 
-/// The queued path runs its two runs concurrently; at thread cap 1 and
-/// cap 2 it must reproduce the sequential lockstep oracle bit for bit,
-/// with one symbolic analysis for the whole population.
+/// The stream runs its two runs concurrently; at thread cap 1 and cap 2
+/// it must reproduce each die's own one-lane `measure_delta_t` bit for
+/// bit, with one symbolic analysis for the whole population.
 #[test]
 fn queued_runs_are_bit_identical_at_any_thread_cap() {
-    use rotsv::num::parallel::set_thread_limit;
     use rotsv::num::SymbolicCache;
     use rotsv::{DeltaTMeasurement, Die};
-    use std::num::NonZeroUsize;
     use std::sync::Arc;
 
     let bench = TestBench::fast(1);
@@ -302,14 +297,16 @@ fn queued_runs_are_bit_identical_at_any_thread_cap() {
             .map(|m| [&m.t1, &m.t2].map(|t| t.period().map(f64::to_bits)))
             .collect()
     };
-    let cache = Arc::new(SymbolicCache::new());
-    let oracle = bench
-        .measure_delta_t_batch_with(1.1, &faults, &[0], &dies, &opts, &cache)
-        .unwrap();
+    let oracle: Vec<DeltaTMeasurement> = dies
+        .iter()
+        .map(|die| bench.measure_delta_t(1.1, &faults, &[0], die).unwrap())
+        .collect();
+    let per_die_faults = vec![&faults[..]; dies.len()];
     for cap in [1, 2] {
         set_thread_limit(NonZeroUsize::new(cap));
         let cache = Arc::new(SymbolicCache::new());
-        let queued = bench.measure_delta_t_queue_with(1.1, &faults, &[0], &dies, 2, &opts, &cache);
+        let queued =
+            bench.measure_delta_t_stream(1.1, &per_die_faults, &[0], &dies, 2, &opts, &cache);
         set_thread_limit(None);
         let queued = queued.unwrap();
         assert_eq!(queued, oracle, "cap {cap}");
@@ -319,8 +316,7 @@ fn queued_runs_are_bit_identical_at_any_thread_cap() {
     }
 }
 
-/// Runs the heterogeneous queued path on two nominal dies, fault lists
-/// `per_die_faults`.
+/// Streams two nominal dies with fault lists `per_die_faults`.
 fn queue_two_dies(vdd: f64, per_die_faults: &[&[TsvFault]]) {
     use rotsv::num::SymbolicCache;
     use rotsv::Die;
@@ -330,7 +326,7 @@ fn queue_two_dies(vdd: f64, per_die_faults: &[&[TsvFault]]) {
     let dies = [Die::nominal(), Die::nominal()];
     let dies: Vec<&Die> = dies.iter().collect();
     let cache = Arc::new(SymbolicCache::new());
-    let _ = bench.measure_delta_t_queue_hetero_with(
+    let _ = bench.measure_delta_t_stream(
         vdd,
         per_die_faults,
         &[0],
@@ -341,9 +337,9 @@ fn queue_two_dies(vdd: f64, per_die_faults: &[&[TsvFault]]) {
     );
 }
 
-/// The queued path's runs execute on workers, yet a bad fault list, even
-/// a later die's, panics on the caller as the lockstep form does, instead
-/// of coming back as a `WorkerPanic` error.
+/// The stream's runs execute on workers, yet a bad fault list, even a
+/// later die's, panics on the caller instead of coming back as a
+/// `WorkerPanic` error.
 #[test]
 #[should_panic(expected = "fault list")]
 fn queued_fault_list_mismatch_panics_on_the_caller() {
