@@ -3,7 +3,7 @@
 # job matrix:
 #
 #   ./ci.sh lint    # fmt, clippy, rustdoc — all warnings denied
-#   ./ci.sh test    # release build + full test suite
+#   ./ci.sh test    # release build + full test suite + benchmark smoke
 #   ./ci.sh gate    # smokes, golden regression, bench + server gates
 #   ./ci.sh portable # RUSTFLAGS-cleared build, scalar-dispatch agreement
 #   ./ci.sh         # all four, in order
@@ -71,6 +71,13 @@ test_stage() {
 
   echo "==> cargo test"
   cargo test -q
+
+  # The benchmark is a package of its own, outside the workspace, so the
+  # workspace test run never builds it. Its smoke test runs every
+  # workload at smoke size, untraced and traced, and checks the outputs
+  # and the metric keys BENCHMARK.json names.
+  echo "==> benchmark smoke (cargo test --manifest-path benchmark/Cargo.toml)"
+  cargo test -q --manifest-path benchmark/Cargo.toml
 }
 
 # Kills a smoke daemon left behind by a failed check so neither a
@@ -175,8 +182,8 @@ gate_stage() {
     cmp "$artifacts/mc-scalar/$exp.csv" "$artifacts/mc-auto/$exp.csv"
   done
 
-  # Golden signatures are measured per sample with measure_delta_t, one
-  # die on one lane of the engine every population runs on: no --engine
+  # Golden signatures are measured per sample with measure_delta_t on
+  # the lane engine every population runs on: no --engine
   # flag here (the golden subcommand does not take one), and since
   # engine selection cannot change a number, the check holds under the
   # auto default that this binary's figure runs use.

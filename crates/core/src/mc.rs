@@ -24,9 +24,14 @@ use crate::measure::{DeltaTMeasurement, TestBench};
 /// wall time, never a number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum McEngine {
-    /// One die per one-lane session ([`TestBench::measure_delta_t`], each
-    /// die on a symbolic cache of its own), dies spread over threads —
-    /// the baseline the lane-parallel schedules are timed against.
+    /// One die per one-lane session, each die on a symbolic cache of its
+    /// own, dies spread over threads — the baseline the lane-parallel
+    /// schedules are timed against. It calls
+    /// [`TestBench::measure_delta_t_stream`] with one lane rather than
+    /// [`TestBench::measure_delta_t`], whose two lanes let a worker step
+    /// both runs in one two-lane session: the baseline stays one ring
+    /// per super-iteration, which is what `bench_solver`'s K = 16/32
+    /// speedup floors divide by.
     Scalar,
     /// [`McEngine::Batched`] at the lane width the measured lane table
     /// ([`set_auto_lane_table`]) assigns to the population size, capped
@@ -414,11 +419,11 @@ fn measure_population(
     // The batched schedules share one symbolic cache over every session
     // of both runs, so they perform O(topologies) symbolic analyses.
     let cache = Arc::new(SymbolicCache::new());
-    let stream = |indices: &[usize], lanes: usize| {
+    let stream = |indices: &[usize], lanes: usize, cache: &Arc<SymbolicCache>| {
         let dies: Vec<Die> = indices.iter().map(|&i| die(i)).collect();
         let dies: Vec<&Die> = dies.iter().collect();
         let faults: Vec<&[TsvFault]> = indices.iter().map(|&i| per_die_faults[i]).collect();
-        bench.measure_delta_t_stream(vdd, &faults, under_test, &dies, lanes, &opts, &cache)
+        bench.measure_delta_t_stream(vdd, &faults, under_test, &dies, lanes, &opts, cache)
     };
     let measurements = match resolve_engine(engine, samples) {
         McEngine::Scalar => {
@@ -428,7 +433,8 @@ fn measure_population(
             let results = rotsv_num::parallel::try_parallel_map(samples, |i| {
                 let sample_span = rotsv_obs::span::SpanGuard::enter_under(parent, "mc_sample");
                 sample_span.field("i", i as f64);
-                bench.measure_delta_t(vdd, per_die_faults[i], under_test, &die(i))
+                let own_cache = Arc::new(SymbolicCache::new());
+                stream(&[i], 1, &own_cache).map(|mut m| m.remove(0))
             });
             results
                 .into_iter()
@@ -439,7 +445,7 @@ fn measure_population(
         McEngine::Batched { lanes } => {
             let order = cohort_order(spread, seed, samples);
             let mut out: Vec<Option<DeltaTMeasurement>> = vec![None; samples];
-            for (&i, m) in order.iter().zip(stream(&order, lanes)?) {
+            for (&i, m) in order.iter().zip(stream(&order, lanes, &cache)?) {
                 out[i] = Some(m);
             }
             out.into_iter()
@@ -450,7 +456,7 @@ fn measure_population(
             let all: Vec<usize> = (0..samples).collect();
             let mut out = Vec::with_capacity(samples);
             for chunk in all.chunks(lanes.max(1)) {
-                out.extend(stream(chunk, chunk.len())?);
+                out.extend(stream(chunk, chunk.len(), &cache)?);
             }
             out
         }

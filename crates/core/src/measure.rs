@@ -102,11 +102,13 @@ impl TestBench {
 
     /// Runs the full two-run procedure on one die at one voltage:
     /// run 1 with the TSVs listed in `under_test` enabled, run 2 with all
-    /// TSVs bypassed.
+    /// TSVs bypassed, with the measurement options [`TestBench::opts_for`]
+    /// gives `vdd`. The engine sessions are those of
+    /// [`TestBench::measure_delta_t_with`].
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
+    /// As [`TestBench::measure_delta_t_stream`].
     ///
     /// # Panics
     ///
@@ -123,9 +125,12 @@ impl TestBench {
     }
 
     /// Like [`TestBench::measure_delta_t`] but with explicit measurement
-    /// options (no voltage scaling applied): the die runs through
-    /// [`TestBench::measure_delta_t_stream`] on one lane, on a symbolic
-    /// cache of its own.
+    /// options (no voltage scaling applied). The die runs through
+    /// [`TestBench::measure_delta_t_stream`] on two lanes, on a symbolic
+    /// cache of its own: where the two runs would run one after the other
+    /// on one thread (on a map's worker, or at a thread cap of 1), they
+    /// share one two-lane session; with a second thread free, each run
+    /// has a one-lane session and the two run concurrently.
     ///
     /// # Errors
     ///
@@ -144,7 +149,7 @@ impl TestBench {
     ) -> Result<DeltaTMeasurement, SpiceError> {
         let cache = Arc::new(SymbolicCache::new());
         let mut m =
-            self.measure_delta_t_stream(vdd, &[faults], under_test, &[die], 1, opts, &cache)?;
+            self.measure_delta_t_stream(vdd, &[faults], under_test, &[die], 2, opts, &cache)?;
         Ok(m.remove(0))
     }
 
@@ -153,16 +158,27 @@ impl TestBench {
     /// list `per_die_faults[i]` (a homogeneous population repeats one
     /// list), with its own variation stream, identical in both runs.
     ///
-    /// Each run streams the dies, in order, through `lanes` SIMD lanes
-    /// with mid-transient refill ([`RingOscillator::measure_stream_with_stats`]):
-    /// rings are built as lanes free up and waveforms are consumed as
-    /// dies retire, so a run holds O(`lanes`) waveforms (each die's ring
-    /// circuit and work counters are still kept until the run ends).
-    /// `lanes == dies.len()` is one fixed batch; `lanes == 1` measures
-    /// one die at a time. The two runs are independent transients and
-    /// run concurrently, as the two items of a
-    /// [`rotsv_num::parallel::try_parallel_map`] (one after the other at
-    /// a thread cap of 1, or inside another map's worker).
+    /// Rings stream, in order, through engine sessions of `lanes` SIMD
+    /// lanes with mid-transient refill
+    /// ([`RingOscillator::measure_stream_with_stats`]): rings are built
+    /// as lanes free up and waveforms are consumed as rings retire, so a
+    /// session holds O(`lanes`) waveforms (each ring's circuit and work
+    /// counters are still kept until the session ends). Which rings share
+    /// a session follows one rule:
+    ///
+    /// * **One shared session** when the two runs would otherwise run
+    ///   one after the other on one thread
+    ///   ([`rotsv_num::parallel::effective_threads`]`(2) == 1`: on a
+    ///   map's worker, or at a thread cap of 1) *and* all
+    ///   `2 · dies.len()` rings fit the lanes, so no ring waits for a
+    ///   lane. Both runs' rings are then seated at once and one
+    ///   super-iteration loop steps them all, which costs little more
+    ///   per iteration than stepping one run.
+    /// * **One session per run** otherwise. The two sessions are the two
+    ///   items of a [`rotsv_num::parallel::try_parallel_map`]: concurrent
+    ///   when a second thread is free, one after the other when not.
+    ///   `lanes == dies.len()` is one fixed batch per run; `lanes == 1`
+    ///   measures one die at a time.
     ///
     /// Every ring of both runs shares `cache`. The runs have the same
     /// topology (only the BY source *values* differ), and each run's
@@ -171,24 +187,27 @@ impl TestBench {
     /// second run reuses exactly the pivot order it would have derived
     /// itself. A population passes one cache to every call so it performs
     /// O(topologies) symbolic analyses, not O(dies). The lane engine steps
-    /// every die by its own policies, so a die's results are bit-identical
-    /// at any lane count, thread cap, position and company.
+    /// every ring by its own policies, so a die's results are
+    /// bit-identical at any lane count, thread cap, position and company,
+    /// and on either session schedule.
     ///
     /// Returns one measurement per die, in input order. Empty input
     /// returns an empty vector.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors, the enabled run's first:
+    /// Propagates simulator errors, the first failure in session order
+    /// winning (the enabled run's before the bypassed run's):
     /// [`SpiceError::InvalidCircuit`] when the fault lists mix matrix
     /// topologies (every die must share one, e.g. all
     /// [`TsvFault::Leakage`] with different resistances), and
-    /// [`SpiceError::WorkerPanic`] (index 0 = enabled run, 1 = bypassed)
-    /// when a run panics.
+    /// [`SpiceError::WorkerPanic`] when a session panics, with index 0
+    /// for the enabled run or the shared session and 1 for the bypassed
+    /// run.
     ///
     /// # Panics
     ///
-    /// On the calling thread, before either run starts: the conditions
+    /// On the calling thread, before any session starts: the conditions
     /// of [`TestBench::measure_delta_t`] for any die, invalid `opts`, or
     /// a `per_die_faults`/`dies` length mismatch.
     #[allow(clippy::too_many_arguments)]
@@ -206,8 +225,9 @@ impl TestBench {
         span.field("lanes", lanes as f64);
         span.field("dies", dies.len() as f64);
         assert_eq!(per_die_faults.len(), dies.len(), "one fault list per die");
-        // Inside a run these would come back as a `WorkerPanic`.
+        // Inside a session these would come back as a `WorkerPanic`.
         self.check_runs(vdd, per_die_faults, under_test, opts);
+        let n = dies.len();
         let ring = |i: usize, enabled: bool| {
             let (en, by) = self.ro_configs(vdd, per_die_faults[i], under_test);
             let config = if enabled { en } else { by };
@@ -215,21 +235,19 @@ impl TestBench {
             ro.set_symbolic_cache(Arc::clone(cache));
             ro
         };
-        // Workers have no span stack: attach each run under the caller's.
-        let parent = rotsv_obs::current_path();
-        let runs = rotsv_num::parallel::try_parallel_map(2, |run| {
-            let enabled = run == 0;
-            let name = ["run_enabled", "run_bypassed"][run];
-            let _span = rotsv_obs::span::SpanGuard::enter_under(parent, name);
+        // One session measures every die once per entry of `runs` (true
+        // for the enabled run): ring `j` is die `j % n` of run `runs[j / n]`.
+        let session = |runs: &[bool]| {
+            let total = runs.len() * n;
             let mut next = 0;
             let mut source = || {
-                (next < dies.len()).then(|| {
+                (next < total).then(|| {
                     next += 1;
-                    ring(next - 1, enabled)
+                    ring((next - 1) % n, runs[(next - 1) / n])
                 })
             };
-            let mut out = vec![None; dies.len()];
-            let mut sink = |i: usize, outcome, stats| out[i] = Some((outcome, stats));
+            let mut out = vec![None; total];
+            let mut sink = |j: usize, outcome, stats| out[j] = Some((outcome, stats));
             RingOscillator::measure_stream_with_stats(
                 Vec::new(),
                 lanes,
@@ -242,12 +260,26 @@ impl TestBench {
                     .map(|r| r.expect("delivered"))
                     .collect::<Vec<_>>()
             })
+        };
+        let shared = rotsv_num::parallel::effective_threads(2) == 1 && 2 * n <= lanes;
+        let sessions: &[(&str, &[bool])] = if shared {
+            &[("runs_shared", &[true, false])]
+        } else {
+            &[("run_enabled", &[true]), ("run_bypassed", &[false])]
+        };
+        // Workers have no span stack: attach each session under the caller's.
+        let parent = rotsv_obs::current_path();
+        let results = rotsv_num::parallel::try_parallel_map(sessions.len(), |s| {
+            let (name, runs) = sessions[s];
+            let _span = rotsv_obs::span::SpanGuard::enter_under(parent, name);
+            session(runs)
         });
-        let mut runs = runs.into_iter().map(|r| r?);
-        Ok(pair_runs(
-            runs.next().expect("run 1")?,
-            runs.next().expect("run 2")?,
-        ))
+        let mut rings = Vec::with_capacity(2 * n);
+        for r in results {
+            rings.extend(r??);
+        }
+        let bypassed = rings.split_off(n);
+        Ok(pair_runs(rings, bypassed))
     }
 
     /// Checks the preconditions of measuring dies under `per_die_faults`

@@ -14,9 +14,9 @@
 //! its current one.
 //!
 //! Maps nest without multiplying threads: a map called from inside a
-//! worker runs inline on that worker, so [`set_thread_limit`] bounds the
-//! total number of threads a nested fan-out uses, not the threads per
-//! level.
+//! worker runs inline on that worker ([`effective_threads`] reports 1
+//! there), so [`set_thread_limit`] bounds the total number of threads a
+//! nested fan-out uses, not the threads per level.
 
 use std::cell::Cell;
 use std::fmt;
@@ -43,8 +43,14 @@ pub fn set_thread_limit(limit: Option<NonZeroUsize>) {
     THREAD_LIMIT.store(limit.map_or(0, NonZeroUsize::get), Ordering::Relaxed);
 }
 
-/// The effective worker-thread cap for an `n`-item map.
+/// The worker threads an `n`-item map started on this thread would use:
+/// 1 on a map's worker, where a nested map runs inline, otherwise the
+/// thread cap ([`set_thread_limit`], default available parallelism),
+/// at most `n` and at least 1.
 pub fn effective_threads(n: usize) -> usize {
+    if IN_WORKER.with(Cell::get) {
+        return 1;
+    }
     let auto = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1);
@@ -112,7 +118,7 @@ where
         })
     };
     let threads = effective_threads(n);
-    if threads <= 1 || n <= 1 || IN_WORKER.with(Cell::get) {
+    if threads <= 1 {
         return (0..n).map(guarded).collect();
     }
     run_self_scheduled(n, threads, &guarded)
@@ -200,6 +206,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that set or read the process-wide cap. It
+    /// guards no data, so a failed holder's poison is ignored.
+    static CAP: Mutex<()> = Mutex::new(());
+
+    fn lock_cap() -> MutexGuard<'static, ()> {
+        CAP.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn matches_serial_map() {
@@ -216,6 +231,7 @@ mod tests {
 
     #[test]
     fn thread_limit_caps_workers_without_changing_results() {
+        let _cap = lock_cap();
         set_thread_limit(NonZeroUsize::new(1));
         assert_eq!(effective_threads(64), 1);
         let capped = parallel_map(50, |i| i * 3);
@@ -223,6 +239,20 @@ mod tests {
         assert!(effective_threads(64) >= 1);
         let uncapped = parallel_map(50, |i| i * 3);
         assert_eq!(capped, uncapped);
+    }
+
+    /// A map started on a worker runs inline there, and
+    /// `effective_threads` reports exactly that; off a worker it
+    /// reports the cap. Driven through `run_self_scheduled` so the
+    /// closures run on workers even on a single-core host.
+    #[test]
+    fn effective_threads_is_one_on_a_worker() {
+        let _cap = lock_cap();
+        let auto = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(effective_threads(8), auto.min(8));
+        let on_workers = run_self_scheduled(4, 2, &|_| effective_threads(8));
+        assert_eq!(on_workers, vec![1; 4]);
+        assert_eq!(effective_threads(8), auto.min(8), "the caller is no worker");
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   every Monte-Carlo engine bit for bit.
 //! * **Backpressure** ([`server`]): admission is all-or-nothing
 //!   against a unit bound, oversized jobs are rejected by a per-job
-//!   die cap, and a draining server refuses new work while flushing
+//!   die cap, request lines are capped at [`server::MAX_LINE_BYTES`],
+//!   and a draining server refuses new work while flushing
 //!   every in-flight verdict and per-job run manifest.
 //! * **Observability**: the process-wide metrics registry feeds both
 //!   the `metrics` request (Prometheus text exposition inline) and a

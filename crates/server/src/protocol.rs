@@ -16,6 +16,9 @@
 //! streamed as dies retire), `done` (with the job's run-manifest
 //! trailer), `metrics`, `pong`, `shutting_down`, and `error`. Every
 //! response carries the client-chosen `id` verbatim where one applies.
+//! A request line may hold at most [`crate::server::MAX_LINE_BYTES`]
+//! bytes, newline included; a longer one is answered with one `error`
+//! and the connection closes.
 
 use rotsv::tsv::TsvFault;
 use rotsv::variation::ProcessSpread;

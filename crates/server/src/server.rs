@@ -7,7 +7,7 @@
 //! verdicts back through each job's response channel as lanes retire,
 //! and a `done` trailer carrying the run manifest closes every job.
 
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -586,6 +586,12 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
+/// Longest request line the daemon reads, newline included. A job line
+/// is under 1 KiB; a client that sends this much without a newline gets
+/// one `error` line and loses its connection, so no client can grow a
+/// handler's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
 fn handle_client(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -613,15 +619,35 @@ fn handle_client(shared: &Arc<Shared>, stream: TcpStream) {
 
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shared.is_stopping() {
             break;
         }
-        match reader.read_line(&mut line) {
+        let room = (MAX_LINE_BYTES - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
+            Ok(_) if !line.ends_with(b"\n") && line.len() == MAX_LINE_BYTES => {
+                if rotsv_obs::metrics_enabled() {
+                    rotsv_obs::counter("server.lines_rejected").add(1);
+                }
+                send(
+                    &tx,
+                    vec![
+                        ("type".into(), Json::Str("error".into())),
+                        (
+                            "reason".into(),
+                            Json::Str(format!(
+                                "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                            )),
+                        ),
+                    ],
+                );
+                break;
+            }
             Ok(_) => {
-                let trimmed = line.trim();
+                let text = String::from_utf8_lossy(&line);
+                let trimmed = text.trim();
                 if !trimmed.is_empty() {
                     handle_request(shared, trimmed, &tx);
                 }

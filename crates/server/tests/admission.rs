@@ -9,6 +9,7 @@ use std::time::Duration;
 use rotsv::variation::ProcessSpread;
 use rotsv::{delta_t_population_with_engine, McEngine, TestBench};
 use rotsv_obs::{validate_manifest, Json};
+use rotsv_server::server::MAX_LINE_BYTES;
 use rotsv_server::{Server, ServerConfig};
 
 /// A tiny synchronous line-protocol client.
@@ -121,6 +122,59 @@ fn graceful_shutdown_flushes_in_flight_job() {
     // validation errors are not.
     let _ = warnings;
     server.wait().expect("drain completes");
+}
+
+/// A client that streams bytes with no newline cannot grow the daemon's
+/// line buffer: at `MAX_LINE_BYTES` it gets one `error` line and its
+/// connection closes, the daemon counts the rejection, and another
+/// client's job in flight still completes.
+#[test]
+fn oversized_line_is_rejected_and_other_jobs_complete() {
+    let server = Server::start(small_config()).expect("server starts");
+    let mut client = Client::connect(server.addr());
+    client.send(r#"{"type":"submit","id":4,"n_segments":1,"dies":2,"seed":5}"#);
+    assert_eq!(ty(&client.read_doc()), "admitted");
+
+    // Exactly the cap and no newline: the daemon consumes every byte
+    // sent, so it closes the connection cleanly after its reply.
+    let mut flood = Client::connect(server.addr());
+    flood
+        .writer
+        .write_all(&vec![b'x'; MAX_LINE_BYTES])
+        .expect("send an over-long line");
+    flood.writer.flush().expect("flush the over-long line");
+    let doc = flood.read_doc();
+    assert_eq!(ty(&doc), "error");
+    let reason = doc.get("reason").and_then(Json::as_str).unwrap_or("");
+    assert!(reason.contains("exceeds"), "reason was {reason:?}");
+    let mut rest = String::new();
+    let n = flood
+        .reader
+        .read_line(&mut rest)
+        .expect("read to the close");
+    assert_eq!(n, 0, "connection must close after the error, got {rest:?}");
+
+    let mut verdicts = 0;
+    loop {
+        let doc = client.read_doc();
+        match ty(&doc) {
+            "verdict" => {
+                assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
+                verdicts += 1;
+            }
+            "done" => break,
+            other => panic!("unexpected response type {other:?}"),
+        }
+    }
+    assert_eq!(verdicts, 2, "one verdict per die");
+    client.send(r#"{"type":"metrics"}"#);
+    let metrics = client.read_doc();
+    let text = metrics.get("text").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        text.contains("rotsv_server_lines_rejected 1"),
+        "rejection not counted:\n{text}"
+    );
+    server.stop().expect("clean shutdown");
 }
 
 /// Submits one job and returns `(die index, ΔT)` for every verdict.

@@ -11,8 +11,11 @@
 //!   ([`rotsv_num::sparse::BatchedLu`]),
 //! * one stamp-coordinate walk and slot-replay sequence,
 //! * structure-of-arrays device evaluation
-//!   ([`crate::device::BatchedDeviceEval`]) with the lane index as the
-//!   innermost, branch-free loop so the compiler autovectorizes it.
+//!   ([`crate::device::BatchedDeviceEval`]), matrix assembly and LU
+//!   sweeps with the lane index as the innermost, branch-free loop,
+//!   written against the runtime-dispatched [`rotsv_num::simd`] lane
+//!   vectors (AVX-512, AVX2 or the scalar fallback, bit-identical on
+//!   each) rather than left to the autovectorizer.
 //!
 //! Unlike the v1 lockstep engine (which marched all lanes on one shared
 //! time grid, `dt = min` over lane proposals), lanes here are

@@ -352,3 +352,137 @@ fn queued_non_positive_vdd_panics_on_the_caller() {
     let faults = [TsvFault::None; 2];
     queue_two_dies(0.0, &[&faults, &faults]);
 }
+
+/// The integer work counters of a measurement (its wall time is
+/// bookkeeping, not work).
+fn work(stats: &rotsv::spice::SolverStats) -> [u64; 6] {
+    [
+        stats.symbolic_analyses,
+        stats.factorizations,
+        stats.solves,
+        stats.newton_iterations,
+        stats.steps_accepted,
+        stats.steps_rejected,
+    ]
+}
+
+/// Every number of a run's outcome as bits: period and jitter when it
+/// oscillates, final voltage and swing when it sticks.
+fn outcome_bits(outcome: &rotsv::ro::OscillationOutcome) -> (bool, [u64; 2]) {
+    use rotsv::ro::OscillationOutcome;
+    match outcome {
+        OscillationOutcome::Oscillating(m) => (true, [m.mean.to_bits(), m.jitter.to_bits()]),
+        OscillationOutcome::Stuck {
+            final_voltage,
+            swing,
+        } => (false, [final_voltage.to_bits(), swing.to_bits()]),
+    }
+}
+
+/// The paired path's contract. `measure_delta_t` runs its die on two
+/// lanes: at top level its runs get a one-lane session each (concurrent
+/// when a second thread is free), while inside a map worker and at
+/// thread cap 1 both runs share one two-lane session. On every one of
+/// these schedules t1 and t2 must be bit-identical, and the work
+/// counters equal, to `McEngine::Scalar`'s one-lane schedule of the same
+/// die.
+#[test]
+fn single_die_measurement_matches_the_one_lane_schedule() {
+    use rotsv::num::parallel::parallel_map;
+    use rotsv::num::SymbolicCache;
+    use rotsv::{die_seed, DeltaTMeasurement, Die};
+    use std::sync::Arc;
+
+    const SEED: u64 = 71;
+    let bench = TestBench::fast(2);
+    let spread = ProcessSpread::paper();
+    let die = Die::new(spread, die_seed(SEED, 0));
+    let cases = [
+        ("fault-free", TsvFault::None),
+        (
+            "open-1k",
+            TsvFault::ResistiveOpen {
+                x: 0.5,
+                r: Ohms(1e3),
+            },
+        ),
+        ("leak-3k", TsvFault::Leakage { r: Ohms(3e3) }),
+        ("stuck-300", TsvFault::Leakage { r: Ohms(300.0) }),
+    ];
+    let bits = |m: &DeltaTMeasurement| (outcome_bits(&m.t1), outcome_bits(&m.t2));
+    for vdd in [0.8, 1.1] {
+        for (label, fault) in cases {
+            let faults = [fault, TsvFault::None];
+            let at = format!("{label} at {vdd} V");
+            // McEngine::Scalar's schedule of the die: one lane, a
+            // symbolic cache of its own.
+            let cache = Arc::new(SymbolicCache::new());
+            let one_lane = bench
+                .measure_delta_t_stream(
+                    vdd,
+                    &[&faults],
+                    &[0],
+                    &[&die],
+                    1,
+                    &bench.opts_for(vdd),
+                    &cache,
+                )
+                .unwrap()
+                .remove(0);
+            let scalar = delta_t_fault_sweep_with_engine(
+                &bench,
+                vdd,
+                &[faults.to_vec()],
+                &[0],
+                spread,
+                SEED,
+                McEngine::Scalar,
+            )
+            .unwrap();
+            let delta_bits = one_lane.delta().map(f64::to_bits);
+            assert_eq!(
+                scalar.deltas.first().map(|d| d.to_bits()),
+                delta_bits,
+                "{at}: McEngine::Scalar ΔT"
+            );
+            assert_eq!(
+                scalar.stuck_count,
+                usize::from(one_lane.is_stuck()),
+                "{at}: stuck"
+            );
+            assert_eq!(
+                work(&scalar.stats),
+                work(&one_lane.stats),
+                "{at}: McEngine::Scalar counters"
+            );
+            if label == "stuck-300" && vdd == 1.1 {
+                assert!(one_lane.is_stuck(), "{at}: the strong leak sticks");
+            }
+
+            let top_level = bench.measure_delta_t(vdd, &faults, &[0], &die).unwrap();
+            // Item 0 runs on a worker of a two-item map (inline on a
+            // single-core host, where the cap is 1 anyway).
+            let in_worker = parallel_map(2, |i| {
+                (i == 0).then(|| bench.measure_delta_t(vdd, &faults, &[0], &die).unwrap())
+            })
+            .remove(0)
+            .expect("item 0 measures");
+            set_thread_limit(NonZeroUsize::new(1));
+            let capped = bench.measure_delta_t(vdd, &faults, &[0], &die);
+            set_thread_limit(None);
+            let capped = capped.unwrap();
+            for (schedule, m) in [
+                ("top level", &top_level),
+                ("in a worker", &in_worker),
+                ("at thread cap 1", &capped),
+            ] {
+                assert_eq!(bits(m), bits(&one_lane), "{at}, {schedule}: t1/t2 bits");
+                assert_eq!(
+                    work(&m.stats),
+                    work(&one_lane.stats),
+                    "{at}, {schedule}: work counters"
+                );
+            }
+        }
+    }
+}
