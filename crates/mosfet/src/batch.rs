@@ -28,6 +28,11 @@ use rotsv_spice::{BatchedDeviceEval, NonlinearDevice};
 use crate::device::Mosfet;
 use crate::model::{MosParams, Polarity, PHI_T};
 
+/// The rows [`MosfetBank`] declares live, as a
+/// [`BatchedDeviceEval::live_rows`] mask over the terminal order
+/// drain, gate, source, bulk: drain (bit 0) and source (bit 2).
+const LIVE_ROWS: u64 = 0b0101;
+
 /// One transistor slot across K lanes, structure-of-arrays.
 #[derive(Debug)]
 pub struct MosfetBank {
@@ -371,6 +376,12 @@ impl BatchedDeviceEval for MosfetBank {
         }
     }
 
+    /// Drain and source. The channel current flows drain → source, so
+    /// the gate and bulk rows are stored as `+0.0` on every arm.
+    fn live_rows(&self) -> u64 {
+        LIVE_ROWS
+    }
+
     /// O(1) refill re-seat: only the two per-lane arrays depend on the
     /// die, so seating a new die's transistor into `lane` is two stores —
     /// provided its shared parameters match the bank's fingerprint.
@@ -485,6 +496,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The batched assembly skips the rows the bank declares dead, which
+    /// is exact only if they are `+0.0` (sign bit clear) in every lane,
+    /// at every bias, on every dispatch arm. This pins that, and that the
+    /// declared rows are exactly the ones that never carry a value: gate
+    /// and bulk dead, drain and source live.
+    #[test]
+    fn dead_rows_are_positive_zero_on_every_arm() {
+        use rotsv_num::simd::{self, Level};
+        let biases = [
+            [1.1, 1.1, 0.0, 0.0],
+            [0.4, 0.9, 0.1, 0.0],
+            [0.2, 1.0, 0.8, 0.0],  // reversed drain/source
+            [1.1, 0.0, 0.0, 0.0],  // subthreshold
+            [0.0, 0.3, 1.1, 0.0],  // reversed and subthreshold
+            [0.0, 0.0, 1.1, 1.1],  // PMOS-style bias
+            [-0.1, 0.5, 0.3, 0.0], // negative terminal
+            [0.0, 0.0, 0.0, 0.0],  // unbiased
+        ];
+        for want in [Level::Scalar, Level::Avx2, Level::Avx512] {
+            let level = simd::set_level(want);
+            for pmos in [false, true] {
+                for k in [1, 2, 4, 8, 16, 32] {
+                    let devs = lane_devices_n(pmos, k);
+                    let refs: Vec<&Mosfet> = devs.iter().collect();
+                    let mut bank = MosfetBank::try_new(&refs).expect("uniform lanes");
+                    let live = BatchedDeviceEval::live_rows(&bank);
+                    let mut nonzero = [false; 4];
+                    for bias in biases {
+                        let mut v = vec![0.0; 4 * k];
+                        for (ti, &b) in bias.iter().enumerate() {
+                            for (lane, item) in v[ti * k..(ti + 1) * k].iter_mut().enumerate() {
+                                *item = b + 0.013 * lane as f64;
+                            }
+                        }
+                        // Poisoned outputs: every entry must be written.
+                        let mut c = vec![f64::NAN; 4 * k];
+                        let mut j = vec![f64::NAN; 16 * k];
+                        bank.eval_lanes(&v, &mut c, &mut j);
+                        for (row, seen) in nonzero.iter_mut().enumerate() {
+                            let cur = &c[row * k..(row + 1) * k];
+                            let jac = &j[row * 4 * k..(row + 1) * 4 * k];
+                            if (live >> row) & 1 == 0 {
+                                assert!(
+                                    cur.iter().chain(jac).all(|x| x.to_bits() == 0),
+                                    "{} row {row} not +0.0 at {bias:?}, K = {k}, pmos = {pmos}",
+                                    level.name()
+                                );
+                            }
+                            *seen |= cur.iter().chain(jac).any(|&x| x != 0.0);
+                        }
+                    }
+                    let declared: Vec<bool> = (0..4).map(|row| (live >> row) & 1 == 1).collect();
+                    assert_eq!(
+                        declared,
+                        nonzero,
+                        "{} K = {k}, pmos = {pmos}: live rows must be drain and source",
+                        level.name()
+                    );
+                }
+            }
+        }
+        simd::set_level(simd::detected());
     }
 
     #[test]

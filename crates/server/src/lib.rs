@@ -27,8 +27,10 @@
 //! * **Backpressure** ([`server`]): admission is all-or-nothing
 //!   against a unit bound, oversized jobs are rejected by a per-job
 //!   die cap, request lines are capped at [`server::MAX_LINE_BYTES`],
-//!   and a draining server refuses new work while flushing
-//!   every in-flight verdict and per-job run manifest.
+//!   each connection's output queue at [`server::MAX_QUEUED_LINES`]
+//!   (a client that stops reading is dropped, never waited on), and a
+//!   draining server refuses new work while flushing every in-flight
+//!   verdict and per-job run manifest.
 //! * **Observability**: the process-wide metrics registry feeds both
 //!   the `metrics` request (Prometheus text exposition inline) and a
 //!   periodic `metrics.prom` snapshot; each job's `done` trailer

@@ -8,10 +8,10 @@
 //! and a `done` trailer carrying the run manifest closes every job.
 
 use std::io::{BufRead, BufReader, BufWriter, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -83,7 +83,7 @@ pub struct JobState {
     pub(crate) spec: JobSpec,
     threads: usize,
     submitted: Instant,
-    tx: Sender<String>,
+    out: Outbox,
     tracker: Arc<JobTracker>,
     progress: Mutex<Progress>,
 }
@@ -94,7 +94,7 @@ impl JobState {
         client_id: Json,
         spec: JobSpec,
         threads: usize,
-        tx: Sender<String>,
+        out: Outbox,
         tracker: Arc<JobTracker>,
     ) -> Self {
         let slots = (0..spec.dies * spec.vdds.len())
@@ -106,7 +106,7 @@ impl JobState {
             spec,
             threads,
             submitted: Instant::now(),
-            tx,
+            out,
             tracker,
             progress: Mutex::new(Progress {
                 slots,
@@ -179,7 +179,7 @@ impl JobState {
             ("t2".into(), Self::opt_num(m.t2.period())),
             ("latency_s".into(), Json::Num(latency)),
         ]);
-        let _ = self.tx.send(line);
+        self.out.send(line);
         self.maybe_finish(&mut p);
     }
 
@@ -209,7 +209,7 @@ impl JobState {
             ("status".into(), Json::Str("error".into())),
             ("reason".into(), Json::Str(reason.into())),
         ]);
-        let _ = self.tx.send(line);
+        self.out.send(line);
         self.maybe_finish(&mut p);
     }
 
@@ -251,7 +251,7 @@ impl JobState {
             ),
             ("manifest".into(), manifest),
         ]);
-        let _ = self.tx.send(line);
+        self.out.send(line);
         self.tracker.job_done();
     }
 }
@@ -592,22 +592,70 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
 /// handler's buffer without bound.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// Most response lines a connection's output queue holds. A client that
+/// stops reading first fills its socket buffers, then this queue; the
+/// line after that shuts the connection and counts it in
+/// `server.clients_dropped`, so a stalled reader costs the daemon at most
+/// this many lines and never blocks an engine worker.
+pub const MAX_QUEUED_LINES: usize = 1024;
+
+/// One connection's bounded output queue, shared by its handler and by
+/// every job it submitted. Sending never blocks, so neither does an
+/// engine worker streaming a verdict. A full queue means the client
+/// stopped reading: the socket is shut so the writer thread exits, every
+/// later line for the connection is dropped, and
+/// `server.clients_dropped` counts the connection once.
+#[derive(Clone)]
+struct Outbox {
+    tx: SyncSender<String>,
+    /// The connection's socket, shut when the queue overflows.
+    stream: Arc<TcpStream>,
+    dropped: Arc<AtomicBool>,
+}
+
+impl Outbox {
+    /// Queues one response line; a line for a gone client is dropped.
+    fn send(&self, line: String) {
+        if self.is_dropped() {
+            return;
+        }
+        if let Err(TrySendError::Full(_)) = self.tx.try_send(line) {
+            if !self.dropped.swap(true, Ordering::Relaxed) {
+                let _ = self.stream.shutdown(Shutdown::Both);
+                if rotsv_obs::metrics_enabled() {
+                    rotsv_obs::counter("server.clients_dropped").add(1);
+                }
+            }
+        }
+    }
+
+    fn is_dropped(&self) -> bool {
+        self.dropped.load(Ordering::Relaxed)
+    }
+}
+
 fn handle_client(shared: &Arc<Shared>, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
+    let (Ok(write_half), Ok(shut_half)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::sync_channel::<String>(MAX_QUEUED_LINES);
+    let out = Outbox {
+        tx,
+        stream: Arc::new(shut_half),
+        dropped: Arc::new(AtomicBool::new(false)),
+    };
     let writer = thread::Builder::new()
         .name("rotsv-writer".into())
         .spawn(move || {
-            let mut out = BufWriter::new(write_half);
-            // Exits when the handler and every job holding a sender
-            // clone are gone — verdicts in flight always flush first.
+            let mut socket = BufWriter::new(write_half);
+            // Exits when the handler and every job holding an outbox
+            // clone are gone — verdicts in flight always flush first —
+            // or when a write fails because the socket broke or was shut.
             for line in rx {
-                if writeln!(out, "{line}").is_err() {
+                if writeln!(socket, "{line}").is_err() {
                     break;
                 }
-                let _ = out.flush();
+                let _ = socket.flush();
             }
         })
         .expect("spawn writer");
@@ -621,7 +669,7 @@ fn handle_client(shared: &Arc<Shared>, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     loop {
-        if shared.is_stopping() {
+        if shared.is_stopping() || out.is_dropped() {
             break;
         }
         let room = (MAX_LINE_BYTES - line.len()) as u64;
@@ -632,7 +680,7 @@ fn handle_client(shared: &Arc<Shared>, stream: TcpStream) {
                     rotsv_obs::counter("server.lines_rejected").add(1);
                 }
                 send(
-                    &tx,
+                    &out,
                     vec![
                         ("type".into(), Json::Str("error".into())),
                         (
@@ -649,7 +697,7 @@ fn handle_client(shared: &Arc<Shared>, stream: TcpStream) {
                 let text = String::from_utf8_lossy(&line);
                 let trimmed = text.trim();
                 if !trimmed.is_empty() {
-                    handle_request(shared, trimmed, &tx);
+                    handle_request(shared, trimmed, &out);
                 }
                 line.clear();
             }
@@ -665,41 +713,44 @@ fn handle_client(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-fn send(tx: &Sender<String>, members: Vec<(String, Json)>) {
-    let _ = tx.send(render_line(members));
+fn send(out: &Outbox, members: Vec<(String, Json)>) {
+    out.send(render_line(members));
 }
 
-fn handle_request(shared: &Arc<Shared>, line: &str, tx: &Sender<String>) {
+fn handle_request(shared: &Arc<Shared>, line: &str, out: &Outbox) {
     match parse_request(line) {
         Err(reason) => send(
-            tx,
+            out,
             vec![
                 ("type".into(), Json::Str("error".into())),
                 ("reason".into(), Json::Str(reason)),
             ],
         ),
-        Ok(Request::Ping) => send(tx, vec![("type".into(), Json::Str("pong".into()))]),
+        Ok(Request::Ping) => send(out, vec![("type".into(), Json::Str("pong".into()))]),
         Ok(Request::Metrics) => send(
-            tx,
+            out,
             vec![
                 ("type".into(), Json::Str("metrics".into())),
                 ("text".into(), Json::Str(render_prometheus())),
             ],
         ),
         Ok(Request::Shutdown) => {
-            send(tx, vec![("type".into(), Json::Str("shutting_down".into()))]);
+            send(
+                out,
+                vec![("type".into(), Json::Str("shutting_down".into()))],
+            );
             shared.begin_shutdown();
         }
-        Ok(Request::Submit { id, spec }) => handle_submit(shared, id, spec, tx),
+        Ok(Request::Submit { id, spec }) => handle_submit(shared, id, spec, out),
     }
 }
 
-fn reject(tx: &Sender<String>, id: &Json, reason: String, depth: usize, cap: usize) {
+fn reject(out: &Outbox, id: &Json, reason: String, depth: usize, cap: usize) {
     if rotsv_obs::metrics_enabled() {
         rotsv_obs::counter("server.jobs_rejected").add(1);
     }
     send(
-        tx,
+        out,
         vec![
             ("type".into(), Json::Str("rejected".into())),
             ("id".into(), id.clone()),
@@ -710,11 +761,11 @@ fn reject(tx: &Sender<String>, id: &Json, reason: String, depth: usize, cap: usi
     );
 }
 
-fn handle_submit(shared: &Arc<Shared>, id: Json, spec: JobSpec, tx: &Sender<String>) {
+fn handle_submit(shared: &Arc<Shared>, id: Json, spec: JobSpec, out: &Outbox) {
     let cap = shared.config.queue_cap;
     if spec.dies > shared.config.max_dies_per_job {
         reject(
-            tx,
+            out,
             &id,
             format!(
                 "job requests {} dies; per-job cap is {}",
@@ -731,7 +782,7 @@ fn handle_submit(shared: &Arc<Shared>, id: Json, spec: JobSpec, tx: &Sender<Stri
         id.clone(),
         spec,
         shared.config.workers,
-        tx.clone(),
+        out.clone(),
         Arc::clone(&shared.tracker),
     ));
     let mut units = Vec::with_capacity(job.spec.unit_count());
@@ -758,7 +809,7 @@ fn handle_submit(shared: &Arc<Shared>, id: Json, spec: JobSpec, tx: &Sender<Stri
                 rotsv_obs::counter("server.jobs_admitted").add(1);
             }
             send(
-                tx,
+                out,
                 vec![
                     ("type".into(), Json::Str("admitted".into())),
                     ("id".into(), id),
@@ -769,10 +820,10 @@ fn handle_submit(shared: &Arc<Shared>, id: Json, spec: JobSpec, tx: &Sender<Stri
             );
         }
         Err(AdmitError::Full { depth, cap }) => {
-            reject(tx, &id, "queue full".into(), depth, cap);
+            reject(out, &id, "queue full".into(), depth, cap);
         }
         Err(AdmitError::ShuttingDown) => {
-            reject(tx, &id, "shutting down".into(), shared.queue.depth(), cap);
+            reject(out, &id, "shutting down".into(), shared.queue.depth(), cap);
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rotsv::variation::ProcessSpread;
 use rotsv::{delta_t_population_with_engine, McEngine, TestBench};
@@ -174,6 +174,62 @@ fn oversized_line_is_rejected_and_other_jobs_complete() {
         text.contains("rotsv_server_lines_rejected 1"),
         "rejection not counted:\n{text}"
     );
+    server.stop().expect("clean shutdown");
+}
+
+/// A client that floods `metrics` requests and never reads fills its
+/// socket buffers and then its bounded output queue. The daemon then
+/// drops it and counts it once, without blocking an engine worker, and
+/// another client's job in flight still streams every verdict and its
+/// `done` trailer.
+#[test]
+fn stalled_reader_is_dropped_and_other_jobs_complete() {
+    let server = Server::start(small_config()).expect("server starts");
+    let mut client = Client::connect(server.addr());
+    client.send(r#"{"type":"submit","id":6,"n_segments":1,"dies":2,"seed":5}"#);
+    assert_eq!(ty(&client.read_doc()), "admitted");
+
+    let mut flood = TcpStream::connect(server.addr()).expect("connect the flood client");
+    flood
+        .set_write_timeout(Some(Duration::from_millis(100)))
+        .expect("set write timeout");
+    let burst = "{\"type\":\"metrics\"}\n".repeat(64);
+    let dropped = rotsv_obs::counter("server.clients_dropped");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while dropped.get() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the stalled reader was never dropped"
+        );
+        // A timed-out write means the daemon's reader is behind; a
+        // failed one, that the connection is already shut. Either way
+        // keep polling the counter.
+        if flood.write_all(burst.as_bytes()).is_err() {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    let mut verdicts = 0;
+    loop {
+        let doc = client.read_doc();
+        match ty(&doc) {
+            "verdict" => {
+                assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
+                verdicts += 1;
+            }
+            "done" => break,
+            other => panic!("unexpected response type {other:?}"),
+        }
+    }
+    assert_eq!(verdicts, 2, "one verdict per die");
+    client.send(r#"{"type":"metrics"}"#);
+    let metrics = client.read_doc();
+    let text = metrics.get("text").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        text.contains("rotsv_server_clients_dropped 1"),
+        "the drop must be counted once:\n{text}"
+    );
+    drop(flood);
     server.stop().expect("clean shutdown");
 }
 

@@ -17,6 +17,16 @@
 //!   vectors (AVX-512, AVX2 or the scalar fallback, bit-identical on
 //!   each) rather than left to the autovectorizer.
 //!
+//! Assembly touches only entries that can be nonzero, with lane-contiguous
+//! loads. The capacitors' Norton companions are kept structure-of-arrays,
+//! `geq[cap*k + lane]` and `ieq[cap*k + lane]`, so one capacitor's K
+//! lanes stamp as vectors. A device bank declares which terminal rows
+//! can ever be nonzero ([`BatchedDeviceEval::live_rows`]; a MOSFET's
+//! gate and bulk rows are always `+0.0`), and assembly steps past the
+//! slots of the others. Skipping them changes no bit: each
+//! skipped add was `±0.0` into a sum restarted at `+0.0`, which under
+//! round-to-nearest is never `−0.0`, so the add was an exact no-op.
+//!
 //! Unlike the v1 lockstep engine (which marched all lanes on one shared
 //! time grid, `dt = min` over lane proposals), lanes here are
 //! **asynchronous**: the lockstep unit is one Newton *iteration*, not one
@@ -57,7 +67,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rotsv_num::linsolve::SolveError;
 use rotsv_num::simd::{ScalarLanes, Simd};
@@ -102,14 +112,98 @@ enum BatchElem {
 enum DeviceKind {
     /// Structure-of-arrays lockstep kernel.
     Batched(Box<dyn BatchedDeviceEval>),
-    /// Per-lane scalar fallback through [`NonlinearDevice::eval`].
-    PerLane(DeviceStamp),
+    /// Per-lane scalar fallback through [`NonlinearDevice::eval`], with
+    /// its stamp and terminal-voltage scratch kept across iterations.
+    PerLane { stamp: DeviceStamp, v: Vec<f64> },
+}
+
+impl DeviceKind {
+    /// The device type's bank over `lanes` (one device per lane, lane 0
+    /// first), or the per-lane fallback when it has none.
+    fn build(lanes: &[&dyn NonlinearDevice]) -> Self {
+        match lanes[0].batch_with(lanes) {
+            Some(bank) => DeviceKind::Batched(bank),
+            None => {
+                let nt = lanes[0].nodes().len();
+                DeviceKind::PerLane {
+                    stamp: DeviceStamp::new(nt),
+                    v: vec![0.0; nt],
+                }
+            }
+        }
+    }
+
+    /// The bank's [`BatchedDeviceEval::live_rows`]; the per-lane fallback
+    /// knows nothing of its device, so every row is live.
+    fn live_rows(&self) -> u64 {
+        match self {
+            DeviceKind::Batched(bank) => bank.live_rows(),
+            DeviceKind::PerLane { .. } => u64::MAX,
+        }
+    }
+}
+
+/// Is terminal row `m` live under a [`BatchedDeviceEval::live_rows`]
+/// mask?
+#[inline]
+fn row_live(mask: u64, m: usize) -> bool {
+    m >= 64 || (mask >> m) & 1 == 1
 }
 
 /// One nonlinear-device slot across all lanes.
 struct BatchDevice {
     nodes: Vec<NodeId>,
     kind: DeviceKind,
+}
+
+impl BatchDevice {
+    /// Evaluates every lane at the gathered terminal voltages `v` into
+    /// `current` and `jacobian` (layouts as in [`BatchedDeviceEval`]).
+    /// The per-lane fallback evaluates the device of the die seated in
+    /// each lane (`lane_die`).
+    fn eval(
+        &mut self,
+        ckts: &Population,
+        elem_idx: usize,
+        lane_die: &[usize],
+        v: &[f64],
+        current: &mut [f64],
+        jacobian: &mut [f64],
+    ) {
+        match &mut self.kind {
+            DeviceKind::Batched(bank) => bank.eval_lanes(v, current, jacobian),
+            DeviceKind::PerLane { stamp, v: lane_v } => {
+                let k = lane_die.len();
+                let nt = self.nodes.len();
+                for (lane, &die) in lane_die.iter().enumerate() {
+                    let Element::Nonlinear(d) = &ckts.get(die).elements[elem_idx] else {
+                        unreachable!("validated topology");
+                    };
+                    for (ti, vt) in lane_v.iter_mut().enumerate() {
+                        *vt = v[ti * k + lane];
+                    }
+                    stamp.clear();
+                    d.eval(lane_v, stamp);
+                    for ti in 0..nt {
+                        current[ti * k + lane] = stamp.current[ti];
+                        for tj in 0..nt {
+                            jacobian[(ti * nt + tj) * k + lane] = stamp.jacobian[(ti, tj)];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The Norton companions `(geq, ieq)` of every capacitor at each lane's
+/// current trial step, structure-of-arrays: `geq[cap*k + lane]` and
+/// `ieq[cap*k + lane]`. One capacitor's K lanes are contiguous in each
+/// array, so assembly stamps `geq` and updates both right-hand-side rows
+/// with plain lane-vector loads.
+struct Companions {
+    geq: Vec<f64>,
+    ieq: Vec<f64>,
 }
 
 /// Reusable assembly/factorization workspace for a K-lane batch over an
@@ -329,14 +423,9 @@ impl BatchWorkspace {
                             _ => unreachable!("validated topology"),
                         })
                         .collect();
-                    let nt = d0.nodes().len();
-                    let kind = match d0.batch_with(&lanes) {
-                        Some(b) => DeviceKind::Batched(b),
-                        None => DeviceKind::PerLane(DeviceStamp::new(nt)),
-                    };
                     devices.push(BatchDevice {
                         nodes: d0.nodes().to_vec(),
-                        kind,
+                        kind: DeviceKind::build(&lanes),
                     });
                     BatchElem::Device(devices.len() - 1)
                 }
@@ -414,7 +503,7 @@ impl BatchWorkspace {
                         DeviceKind::Batched(bank) => !bank.reseat_lane(lane, d.as_ref()),
                         // Per-lane fallback reads `ckts[lane_die[lane]]`
                         // directly at stamp time — nothing to update.
-                        DeviceKind::PerLane(_) => false,
+                        DeviceKind::PerLane { .. } => false,
                     };
                     if rebuild {
                         let lanes_refs: Vec<&dyn NonlinearDevice> = self
@@ -425,10 +514,7 @@ impl BatchWorkspace {
                                 _ => unreachable!("validated topology"),
                             })
                             .collect();
-                        dev.kind = match lanes_refs[0].batch_with(&lanes_refs) {
-                            Some(b) => DeviceKind::Batched(b),
-                            None => DeviceKind::PerLane(DeviceStamp::new(dev.nodes.len())),
-                        };
+                        dev.kind = DeviceKind::build(&lanes_refs);
                     }
                 }
             }
@@ -468,7 +554,7 @@ impl BatchWorkspace {
     /// Dispatches to the monomorphized assembly for the common lane
     /// counts; the dynamic body is the fallback (and the reference: each
     /// pair of arms performs bit-identical per-lane arithmetic).
-    fn assemble(&mut self, ckts: &Population, x: &[f64], t: &[f64], companions: &[(f64, f64)]) {
+    fn assemble(&mut self, ckts: &Population, x: &[f64], t: &[f64], companions: &Companions) {
         match self.k {
             1 => self.assemble_k::<1>(ckts, x, t, companions),
             2 => self.assemble_k::<2>(ckts, x, t, companions),
@@ -495,7 +581,7 @@ impl BatchWorkspace {
         ckts: &Population,
         x: &[f64],
         t: &[f64],
-        companions: &[(f64, f64)],
+        companions: &Companions,
     ) {
         debug_assert_eq!(self.k, K);
         #[cfg(target_arch = "x86_64")]
@@ -522,7 +608,7 @@ impl BatchWorkspace {
         ckts: &Population,
         x: &[f64],
         t: &[f64],
-        companions: &[(f64, f64)],
+        companions: &Companions,
     ) {
         // SAFETY: caller verified avx512f; we are in a matching region.
         unsafe { self.assemble_body::<K, rotsv_num::simd::Avx512Lanes>(ckts, x, t, companions) }
@@ -535,7 +621,7 @@ impl BatchWorkspace {
         ckts: &Population,
         x: &[f64],
         t: &[f64],
-        companions: &[(f64, f64)],
+        companions: &Companions,
     ) {
         // SAFETY: caller verified avx2; we are in a matching region.
         unsafe { self.assemble_body::<K, rotsv_num::simd::Avx2Lanes>(ckts, x, t, companions) }
@@ -543,24 +629,21 @@ impl BatchWorkspace {
 
     /// The assembly sweep, generic over the ISA token. Each lane is
     /// evaluated at its own time `t[lane]` (lanes step asynchronously);
-    /// waveform evaluation and the capacitor-companion gathers stay
-    /// scalar (strided or call-bearing), the value/rhs lane loops run in
-    /// `K / S::W` vector chunks.
+    /// waveform evaluation stays scalar (call-bearing), the value/rhs
+    /// lane loops, the capacitor companions' included, run in `K / S::W`
+    /// vector chunks.
     ///
     /// # Safety
     ///
     /// `S`'s ISA must be available and enabled in the enclosing region;
     /// `K` must be a multiple of `S::W` and equal `self.k`.
-    // Lane loops deliberately index several parallel arrays by `lane`;
-    // the iterator forms clippy suggests obscure that symmetry.
-    #[allow(clippy::needless_range_loop)]
     #[inline(always)]
     unsafe fn assemble_body<const K: usize, S: Simd>(
         &mut self,
         ckts: &Population,
         x: &[f64],
         t: &[f64],
-        companions: &[(f64, f64)],
+        companions: &Companions,
     ) {
         debug_assert_eq!(K % S::W, 0);
         self.values.fill(0.0);
@@ -590,21 +673,24 @@ impl BatchWorkspace {
                     cursor = unsafe { self.stamp_conductance_body::<K, S>(cursor, *a, *b, g) };
                 }
                 BatchElem::Capacitor { a, b } => {
-                    let base = cap_idx * K;
-                    let mut g = [0.0; K];
-                    for lane in 0..K {
-                        g[lane] = companions[base + lane].0;
-                    }
-                    // SAFETY: propagated from the caller.
-                    cursor = unsafe { self.stamp_conductance_body::<K, S>(cursor, *a, *b, &g) };
-                    if let Some(ra) = row_of(*a) {
-                        for lane in 0..K {
-                            self.b[ra * K + lane] -= companions[base + lane].1;
+                    let lanes = cap_idx * K..(cap_idx + 1) * K;
+                    let geq = &companions.geq[lanes.clone()];
+                    let ip = companions.ieq[lanes].as_ptr();
+                    // SAFETY: propagated from the caller; `ip` points at
+                    // this capacitor's K contiguous `ieq` lanes.
+                    unsafe {
+                        cursor = self.stamp_conductance_body::<K, S>(cursor, *a, *b, geq);
+                        if let Some(ra) = row_of(*a) {
+                            let dst = self.b.as_mut_ptr().add(ra * K);
+                            for c in (0..K).step_by(S::W) {
+                                S::st(dst.add(c), S::sub(S::ld(dst.add(c)), S::ld(ip.add(c))));
+                            }
                         }
-                    }
-                    if let Some(rb) = row_of(*b) {
-                        for lane in 0..K {
-                            self.b[rb * K + lane] += companions[base + lane].1;
+                        if let Some(rb) = row_of(*b) {
+                            let dst = self.b.as_mut_ptr().add(rb * K);
+                            for c in (0..K).step_by(S::W) {
+                                S::st(dst.add(c), S::add(S::ld(dst.add(c)), S::ld(ip.add(c))));
+                            }
                         }
                     }
                     cap_idx += 1;
@@ -710,14 +796,12 @@ impl BatchWorkspace {
     /// Device stamp: gather, evaluate, Norton-accumulate with the
     /// per-terminal right-hand side held in a vector register per chunk.
     /// The `tj` accumulation order per lane matches the dynamic body
-    /// (chunk-outer, `tj`-inner; lanes are independent).
+    /// (chunk-outer, `tj`-inner; lanes are independent). Rows the device
+    /// declares dead are skipped (see [`BatchWorkspace::stamp_device`]).
     ///
     /// # Safety
     ///
     /// Same contract as [`BatchWorkspace::assemble_body`].
-    // Lane loops deliberately index several parallel arrays by `lane`;
-    // the iterator forms clippy suggests obscure that symmetry.
-    #[allow(clippy::needless_range_loop)]
     #[inline(always)]
     unsafe fn stamp_device_body<const K: usize, S: Simd>(
         &mut self,
@@ -738,31 +822,9 @@ impl BatchWorkspace {
                 None => vbuf[ti * K..(ti + 1) * K].fill(0.0),
             }
         }
-        match &mut dev.kind {
-            DeviceKind::Batched(bank) => {
-                bank.eval_lanes(vbuf, cbuf, jbuf);
-            }
-            DeviceKind::PerLane(stamp) => {
-                let mut v = vec![0.0; nt];
-                for lane in 0..K {
-                    let Element::Nonlinear(d) = &ckts.get(self.lane_die[lane]).elements[elem_idx]
-                    else {
-                        unreachable!("validated topology");
-                    };
-                    for ti in 0..nt {
-                        v[ti] = vbuf[ti * K + lane];
-                    }
-                    stamp.clear();
-                    d.eval(&v, stamp);
-                    for ti in 0..nt {
-                        cbuf[ti * K + lane] = stamp.current[ti];
-                        for tj in 0..nt {
-                            jbuf[(ti * nt + tj) * K + lane] = stamp.jacobian[(ti, tj)];
-                        }
-                    }
-                }
-            }
-        }
+        dev.eval(ckts, elem_idx, &self.lane_die, vbuf, cbuf, jbuf);
+        let live = dev.kind.live_rows();
+        let row_slots = dev.nodes.iter().filter(|&&n| row_of(n).is_some()).count();
         let cbp = cbuf.as_ptr();
         let jbp = jbuf.as_ptr();
         let vbp = vbuf.as_ptr();
@@ -770,6 +832,10 @@ impl BatchWorkspace {
         let bp = self.b.as_mut_ptr();
         for (ti, &nk_node) in dev.nodes.iter().enumerate() {
             let Some(rk) = row_of(nk_node) else { continue };
+            if !row_live(live, ti) {
+                cursor += row_slots;
+                continue;
+            }
             // Each chunk replays the `tj` sweep with its own cursor so
             // every (ti, tj) slot is stamped exactly once per chunk.
             let cursor_ti = cursor;
@@ -799,14 +865,14 @@ impl BatchWorkspace {
     }
 
     /// Assembles all lanes at the interleaved iterate `x`, per-lane times
-    /// `t[lane]`. `companions[cap*k + lane]` holds the Norton `(geq,
-    /// ieq)` pair of each capacitor (always companion mode: a batched run
-    /// is always a transient). Idle lanes are stamped at their frozen
-    /// state — their values stay finite and are never solved or factored.
+    /// `t[lane]`, with each capacitor's Norton companion read from
+    /// `companions` (always companion mode: a batched run is always a
+    /// transient). Idle lanes are stamped at their frozen state — their
+    /// values stay finite and are never solved or factored.
     // Lane loops deliberately index several parallel arrays by `lane`;
     // the iterator forms clippy suggests obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
-    fn assemble_dyn(&mut self, ckts: &Population, x: &[f64], t: &[f64], companions: &[(f64, f64)]) {
+    fn assemble_dyn(&mut self, ckts: &Population, x: &[f64], t: &[f64], companions: &Companions) {
         let k = self.k;
         self.values.fill(0.0);
         self.b.fill(0.0);
@@ -828,22 +894,17 @@ impl BatchWorkspace {
                     cursor = self.stamp_conductance(cursor, *a, *b, g);
                 }
                 BatchElem::Capacitor { a, b } => {
-                    let base = cap_idx * k;
-                    // Reuse the rhs scratch to carry per-lane geq.
-                    for lane in 0..k {
-                        self.rhs[lane] = companions[base + lane].0;
-                    }
-                    let g = std::mem::take(&mut self.rhs);
-                    cursor = self.stamp_conductance(cursor, *a, *b, &g);
-                    self.rhs = g;
+                    let lanes = cap_idx * k..(cap_idx + 1) * k;
+                    cursor = self.stamp_conductance(cursor, *a, *b, &companions.geq[lanes.clone()]);
+                    let ieq = &companions.ieq[lanes];
                     if let Some(ra) = row_of(*a) {
                         for lane in 0..k {
-                            self.b[ra * k + lane] -= companions[base + lane].1;
+                            self.b[ra * k + lane] -= ieq[lane];
                         }
                     }
                     if let Some(rb) = row_of(*b) {
                         for lane in 0..k {
-                            self.b[rb * k + lane] += companions[base + lane].1;
+                            self.b[rb * k + lane] += ieq[lane];
                         }
                     }
                     cap_idx += 1;
@@ -896,6 +957,19 @@ impl BatchWorkspace {
     }
 
     /// Evaluates and stamps one device slot across all lanes.
+    ///
+    /// Rows the device declares dead ([`BatchedDeviceEval::live_rows`])
+    /// are skipped: the cursor steps past their slots instead. This is
+    /// exact, not an approximation. A dead row's current and Jacobian
+    /// entries are `+0.0` and the trial voltages are finite (a non-finite
+    /// Newton update fails the lane's step before it is applied), so its
+    /// stamp would add `±0.0` to `values` and `b`. Every entry those adds
+    /// reach, a `values` slot or a node row of `b`, is a sum restarted at
+    /// `+0.0` this assembly, and under round-to-nearest such a sum is
+    /// never `−0.0` (only `−0.0 + −0.0` is), so each skipped add would
+    /// have left its bits as they were. The sparsity pattern, the slot
+    /// replay and every add that reaches a nonzero entry stay as they
+    /// were.
     // Lane loops deliberately index several parallel arrays by `lane`;
     // the iterator forms clippy suggests obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
@@ -920,35 +994,17 @@ impl BatchWorkspace {
                 None => vbuf[ti * k..(ti + 1) * k].fill(0.0),
             }
         }
-        match &mut dev.kind {
-            DeviceKind::Batched(bank) => {
-                bank.eval_lanes(vbuf, cbuf, jbuf);
-            }
-            DeviceKind::PerLane(stamp) => {
-                let mut v = vec![0.0; nt];
-                for lane in 0..k {
-                    let Element::Nonlinear(d) = &ckts.get(self.lane_die[lane]).elements[elem_idx]
-                    else {
-                        unreachable!("validated topology");
-                    };
-                    for ti in 0..nt {
-                        v[ti] = vbuf[ti * k + lane];
-                    }
-                    stamp.clear();
-                    d.eval(&v, stamp);
-                    for ti in 0..nt {
-                        cbuf[ti * k + lane] = stamp.current[ti];
-                        for tj in 0..nt {
-                            jbuf[(ti * nt + tj) * k + lane] = stamp.jacobian[(ti, tj)];
-                        }
-                    }
-                }
-            }
-        }
+        dev.eval(ckts, elem_idx, &self.lane_die, vbuf, cbuf, jbuf);
+        let live = dev.kind.live_rows();
+        let row_slots = dev.nodes.iter().filter(|&&n| row_of(n).is_some()).count();
         // Norton linearization, lane loops innermost (see the scalar
         // engine for the formulation).
         for (ti, &nk_node) in dev.nodes.iter().enumerate() {
             let Some(rk) = row_of(nk_node) else { continue };
+            if !row_live(live, ti) {
+                cursor += row_slots;
+                continue;
+            }
             for lane in 0..k {
                 self.rhs[lane] = -cbuf[ti * k + lane];
             }
@@ -1173,6 +1229,72 @@ fn lane_voltage(x: &[f64], k: usize, node: NodeId, lane: usize) -> f64 {
 
 const MAX_HALVINGS: u32 = 12;
 
+/// The stages a super-iteration's wall is split into, in the order of
+/// [`STAGE_HISTOGRAMS`].
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Device evaluation and MNA stamping.
+    Assemble,
+    /// The per-lane refresh decision and the masked LU refactor.
+    Factor,
+    /// The residual and the forward/back substitution.
+    Solve,
+    /// Per-lane trial setup, convergence, step acceptance and refill.
+    Lanes,
+}
+
+/// One histogram per [`Stage`], each observing seconds per
+/// super-iteration.
+const STAGE_HISTOGRAMS: [&str; 4] = [
+    "batch.assemble",
+    "batch.factor",
+    "batch.solve",
+    "batch.lanes",
+];
+
+/// Splits each super-iteration's wall over the [`Stage`]s. A
+/// super-iteration runs from one wall-share instant of
+/// [`QueueEngine::run`] to the next, so the four observations of each
+/// sum to the wall its busy dies share. The histograms are resolved once
+/// per run and only with metrics on; otherwise no method reads a clock.
+struct StageTimers {
+    hists: Option<[Arc<rotsv_obs::Histogram>; 4]>,
+    spent: [Duration; 4],
+    mark: Instant,
+}
+
+impl StageTimers {
+    /// Starts the first super-iteration at `mark`.
+    fn start(mark: Instant) -> Self {
+        Self {
+            hists: rotsv_obs::metrics_enabled().then(|| STAGE_HISTOGRAMS.map(rotsv_obs::histogram)),
+            spent: [Duration::ZERO; 4],
+            mark,
+        }
+    }
+
+    /// Charges the time since the last mark to `stage`.
+    fn lap(&mut self, stage: Stage) {
+        if self.hists.is_some() {
+            let now = Instant::now();
+            self.spent[stage as usize] += now - self.mark;
+            self.mark = now;
+        }
+    }
+
+    /// Ends the super-iteration at `now`, charging the time since the
+    /// last mark to [`Stage::Lanes`], and records it.
+    fn finish(&mut self, now: Instant) {
+        let Some(hists) = &self.hists else { return };
+        self.spent[Stage::Lanes as usize] += now - self.mark;
+        self.mark = now;
+        for (h, spent) in hists.iter().zip(&mut self.spent) {
+            h.observe(spent.as_secs_f64());
+            *spent = Duration::ZERO;
+        }
+    }
+}
+
 /// The asynchronous K-lane engine streaming an N-die queue.
 struct QueueEngine<'a> {
     ckts: Population<'a>,
@@ -1192,8 +1314,8 @@ struct QueueEngine<'a> {
     cap_nodes: Vec<(NodeId, NodeId)>,
     /// `caps * k` per-lane capacitances.
     farads: Vec<f64>,
-    /// `caps * k` per-lane Norton companions of the current trial step.
-    companions: Vec<(f64, f64)>,
+    /// Per-lane Norton companions of the current trial step.
+    companions: Companions,
     /// `caps * k` per-lane integration history.
     caps: Vec<CapLane>,
     /// `k` per-lane evaluation times (busy: trial end; idle: frozen).
@@ -1281,7 +1403,10 @@ impl<'a> QueueEngine<'a> {
             x_prev: vec![0.0; n * k],
             cap_nodes,
             farads: vec![0.0; n_caps * k],
-            companions: vec![(0.0, 0.0); n_caps * k],
+            companions: Companions {
+                geq: vec![0.0; n_caps * k],
+                ieq: vec![0.0; n_caps * k],
+            },
             caps: vec![CapLane::default(); n_caps * k],
             t_eval: vec![0.0; k],
             lanes: vec![
@@ -1447,6 +1572,7 @@ impl<'a> QueueEngine<'a> {
         // session sum to the session's wall, and a streamed die's share is
         // final when it is delivered.
         let mut lap = Instant::now();
+        let mut stages = StageTimers::start(lap);
 
         let mut delta = vec![0.0f64; n * k];
         let mut rnorm = vec![0.0f64; k];
@@ -1479,7 +1605,7 @@ impl<'a> QueueEngine<'a> {
                     let idx = ci * k + lane;
                     let c = self.caps[idx];
                     let f = self.farads[idx];
-                    self.companions[idx] = if f == 0.0 {
+                    let (geq, ieq) = if f == 0.0 {
                         (0.0, 0.0)
                     } else if use_trap {
                         let geq = 2.0 * f / ls.dt_try;
@@ -1488,6 +1614,8 @@ impl<'a> QueueEngine<'a> {
                         let geq = f / ls.dt_try;
                         (geq, -geq * c.v)
                     };
+                    self.companions.geq[idx] = geq;
+                    self.companions.ieq[idx] = ieq;
                 }
                 // Linear extrapolation start (the scalar predictor),
                 // else restart from the last accepted solution.
@@ -1517,8 +1645,10 @@ impl<'a> QueueEngine<'a> {
                     self.ws.stats[self.ws.lane_die[lane]].newton_iterations += 1;
                 }
             }
+            stages.lap(Stage::Lanes);
             self.ws
                 .assemble(&self.ckts, &self.x_try, &self.t_eval, &self.companions);
+            stages.lap(Stage::Assemble);
             let mut resid = std::mem::take(&mut self.ws.resid);
             self.ws
                 .pattern
@@ -1532,6 +1662,7 @@ impl<'a> QueueEngine<'a> {
                     *rn = rn.max(resid[i * k + lane].abs());
                 }
             }
+            stages.lap(Stage::Solve);
             // Per-lane refresh policy, exactly the scalar rules applied
             // to each lane's own state.
             for lane in 0..k {
@@ -1563,6 +1694,7 @@ impl<'a> QueueEngine<'a> {
                     }
                 }
             }
+            stages.lap(Stage::Factor);
             delta.copy_from_slice(&resid);
             self.ws.resid = resid;
             self.ws
@@ -1576,6 +1708,7 @@ impl<'a> QueueEngine<'a> {
                     self.lanes[lane].prev_rnorm = rnorm[lane];
                 }
             }
+            stages.lap(Stage::Solve);
 
             // Per-lane convergence, damping and update application.
             for lane in 0..k {
@@ -1638,6 +1771,7 @@ impl<'a> QueueEngine<'a> {
             }
 
             let now = Instant::now();
+            stages.finish(now);
             let n_busy = busy.iter().filter(|&&b| b).count();
             let share = (now - lap).as_secs_f64() / n_busy as f64;
             lap = now;
@@ -1681,7 +1815,7 @@ impl<'a> QueueEngine<'a> {
                             let (a, b) = self.cap_nodes[ci];
                             let v_new = lane_voltage(&self.x_try, k, a, lane)
                                 - lane_voltage(&self.x_try, k, b, lane);
-                            let (geq, ieq) = self.companions[idx];
+                            let (geq, ieq) = (self.companions.geq[idx], self.companions.ieq[idx]);
                             self.caps[idx].i = geq * v_new + ieq;
                             self.caps[idx].v = v_new;
                         }
@@ -2168,6 +2302,66 @@ mod tests {
         );
         // Retired lane's final sample is at its own stop time.
         assert!(res[1].time().last().unwrap() < res[0].time().last().unwrap());
+    }
+
+    /// A device type with no bank takes the per-lane fallback, whose
+    /// rows are all live. Its dies must run bit-identically at one lane,
+    /// at three (a SIMD-body arm) and at nine (the dyn-K body), and each
+    /// must agree with `Circuit::transient` within 0.5 %.
+    #[test]
+    fn per_lane_fallback_device_is_lane_count_invariant() {
+        use crate::device::test_devices::Diode;
+        let clamped_rc = |r: f64, i_sat: f64| {
+            let mut ckt = Circuit::new();
+            let vin = ckt.node("in");
+            let vout = ckt.node("out");
+            ckt.add_vsource(vin, Circuit::GROUND, SourceWaveform::step(0.0, 5.0, 0.0));
+            ckt.add_resistor(vin, vout, r);
+            ckt.add_capacitor(vout, Circuit::GROUND, 1e-12);
+            ckt.add_device(Box::new(Diode {
+                nodes: [vout, Circuit::GROUND],
+                i_sat,
+                v_t: 0.02585,
+            }));
+            (ckt, vout)
+        };
+        let built: Vec<(Circuit, NodeId)> = (0..9)
+            .map(|i| {
+                clamped_rc(
+                    1e3 + 150.0 * f64::from(i),
+                    1e-14 * (1.0 + 0.2 * f64::from(i)),
+                )
+            })
+            .collect();
+        let ckts: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
+        let vout = built[0].1;
+        let spec = TransientSpec::new(20e-9, 0.05e-9).record(&[vout]);
+        let bits = |r: &TransientResult| -> Vec<u64> {
+            r.waveform(vout)
+                .values()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let one = transient_queue(&ckts, 1, &spec).unwrap();
+        for lanes in [3, 9] {
+            let many = transient_queue(&ckts, lanes, &spec).unwrap();
+            for (die, (a, b)) in one.iter().zip(&many).enumerate() {
+                assert_eq!(a.time(), b.time(), "die {die}, K = {lanes}: time grid");
+                assert_eq!(bits(a), bits(b), "die {die}, K = {lanes}: waveform bits");
+                assert_eq!(a.stats().newton_iterations, b.stats().newton_iterations);
+            }
+        }
+        for (die, ((ckt, _), lane)) in built.iter().zip(&one).enumerate() {
+            let scalar = ckt.transient(&spec).unwrap();
+            let (ws, wl) = (scalar.waveform(vout), lane.waveform(vout));
+            assert_eq!(ws.time().len(), wl.time().len(), "die {die}: grid");
+            let swing = ws.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!((0.5..0.9).contains(&ws.final_value()), "die {die} clamps");
+            for (a, b) in wl.values().iter().zip(ws.values()) {
+                assert!((a - b).abs() <= 0.005 * swing, "die {die}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

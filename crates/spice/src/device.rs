@@ -104,6 +104,15 @@ pub trait BatchedDeviceEval: Send {
     /// Evaluates all lanes at the interleaved trial voltages `v`.
     fn eval_lanes(&mut self, v: &[f64], current: &mut [f64], jacobian: &mut [f64]);
 
+    /// The terminal rows that can ever be nonzero: bit `m` covers
+    /// `current[m*k + ..]` and Jacobian row `m`. A clear bit promises
+    /// that `eval_lanes` writes that row as `+0.0` in every lane at every
+    /// trial point, so the batched assembly skips stamping it. Terminals
+    /// past bit 63 are always live. The default declares every row live.
+    fn live_rows(&self) -> u64 {
+        u64::MAX
+    }
+
     /// Re-seats `lane` with `device` (the corresponding slot of a new die
     /// being seated into that lane by the refill scheduler). Returns
     /// `true` when the bank absorbed the device in place; `false` (the

@@ -2,8 +2,8 @@
 //! with tracing, metrics and the event ring all enabled must (a) shed
 //! zero events under the default agreement configuration, (b) render a
 //! Chrome trace that parses back with `mc_sample` lane slices and
-//! counter tracks, and (c) leave the per-stage `lu.*` histograms behind
-//! for the run manifest.
+//! counter tracks, and (c) leave the per-stage `lu.*` and `batch.*`
+//! histograms behind for the run manifest.
 //!
 //! This lives in its own test binary deliberately: the obs switches,
 //! metrics registry and event ring are process-global, so the test must
@@ -25,7 +25,7 @@ fn batched_population_telemetry_round_trips() {
     rotsv_obs::set_events(true);
     rotsv_obs::reset();
 
-    {
+    let population = {
         let _root = rotsv_obs::SpanGuard::enter("telemetry");
         let bench = TestBench::fast(1);
         delta_t_population_with_engine(
@@ -38,8 +38,8 @@ fn batched_population_telemetry_round_trips() {
             SAMPLES,
             McEngine::Batched { lanes: LANES },
         )
-        .expect("population succeeds");
-    }
+        .expect("population succeeds")
+    };
 
     // The agreement suite's default configuration must not shed a
     // single event — `mc.ring_dropped_events` is the first-class
@@ -69,6 +69,39 @@ fn batched_population_telemetry_round_trips() {
             "{stage} histogram is empty after a staged-solver run"
         );
     }
+
+    // Super-iteration stages: one observation per stage per
+    // super-iteration, and each super-iteration's stages split the wall
+    // its busy dies share, so the stage sums add up to the summed
+    // session walls the dies report.
+    let stages: Vec<_> = [
+        "batch.assemble",
+        "batch.factor",
+        "batch.solve",
+        "batch.lanes",
+    ]
+    .iter()
+    .map(|name| (*name, rotsv_obs::histogram(name).summary()))
+    .collect();
+    let iterations = stages[0].1.count;
+    assert!(iterations > 0, "no super-iteration was timed");
+    for (name, s) in &stages {
+        assert_eq!(
+            s.count, iterations,
+            "{name}: one sample per super-iteration"
+        );
+        assert!(s.sum > 0.0, "{name} never accrued time");
+    }
+    let stage_sum: f64 = stages.iter().map(|(_, s)| s.sum).sum();
+    let wall = population.stats.wall_seconds;
+    assert!(
+        stage_sum <= wall * (1.0 + 1e-9),
+        "stages sum to {stage_sum} s, sessions to {wall} s"
+    );
+    assert!(
+        stage_sum >= 0.5 * wall,
+        "stages sum to {stage_sum} s, sessions to {wall} s"
+    );
 
     let doc = rotsv_obs::render_chrome_trace();
     rotsv_obs::set_tracing(false);
