@@ -161,10 +161,10 @@ impl TestBench {
     /// Rings stream, in order, through engine sessions of `lanes` SIMD
     /// lanes with mid-transient refill
     /// ([`RingOscillator::measure_stream_with_stats`]): rings are built
-    /// as lanes free up and waveforms are consumed as rings retire, so a
-    /// session holds O(`lanes`) waveforms (each ring's circuit and work
-    /// counters are still kept until the session ends). Which rings share
-    /// a session follows one rule:
+    /// as lanes free up, each ring's waveform and work counters are
+    /// consumed as it retires, and its circuit is dropped when its lane
+    /// refills, so a session holds O(`lanes`) rings. Which rings share a
+    /// session follows one rule:
     ///
     /// * **One shared session** when the two runs would otherwise run
     ///   one after the other on one thread

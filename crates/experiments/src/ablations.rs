@@ -40,6 +40,9 @@ fn ring_period(dt: f64, method: IntegrationMethod, tsv_model: TsvModel) -> Resul
         .expect("healthy ring oscillates"))
 }
 
+/// The production step: the uniform `dt` the first a1 check names.
+const PRODUCTION_DT: f64 = 2e-12;
+
 /// A1: integrator/step-size sensitivity of the extracted period.
 ///
 /// # Errors
@@ -47,7 +50,11 @@ fn ring_period(dt: f64, method: IntegrationMethod, tsv_model: TsvModel) -> Resul
 /// Propagates simulator errors.
 pub fn a1_integrator(f: &Fidelity) -> Result<ExperimentReport, SpiceError> {
     let reference = ring_period(0.5e-12, IntegrationMethod::Trapezoidal, TsvModel::Lumped)?;
-    let dts: Vec<f64> = f.thin(&[1e-12, 2e-12, 4e-12, 8e-12]);
+    // The production step is measured at every fidelity; the steps
+    // around it thin when fast.
+    let mut dts: Vec<f64> = f.thin(&[1e-12, 4e-12, 8e-12]);
+    dts.push(PRODUCTION_DT);
+    dts.sort_by(f64::total_cmp);
     let mut rows = vec![vec![
         "TRAP".to_owned(),
         "0.5".to_owned(),
@@ -65,7 +72,7 @@ pub fn a1_integrator(f: &Fidelity) -> Result<ExperimentReport, SpiceError> {
             let err = t - reference;
             if method == IntegrationMethod::Trapezoidal {
                 worst_trap = worst_trap.max(err.abs());
-                if (dt - 2e-12).abs() < 1e-15 {
+                if dt == PRODUCTION_DT {
                     trap_2ps_err = err.abs();
                 }
             }
@@ -268,4 +275,22 @@ pub fn a3_tsv_model(f: &Fidelity) -> Result<ExperimentReport, SpiceError> {
         seed: None,
         stats: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn production_step_is_measured_at_fast_fidelity() {
+        let report = a1_integrator(&Fidelity::fast()).unwrap();
+        let row = report
+            .rows
+            .iter()
+            .find(|r| r[0] == "Trapezoidal" && r[1] == "2.0")
+            .expect("the TRAP 2 ps row");
+        let err: f64 = row[3].parse().expect("a numeric error");
+        assert!(err.is_finite(), "{}", report.markdown());
+        assert!(report.all_checks_pass(), "{}", report.markdown());
+    }
 }

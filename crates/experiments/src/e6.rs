@@ -43,11 +43,13 @@ pub fn populations(f: &Fidelity, seed: u64) -> Result<Vec<ParallelRow>, SpiceErr
     let samples = f.mc_samples();
     let spread = ProcessSpread::paper();
     // Larger per-transistor spread would also work; the paper's point is
-    // the relative growth with M.
-    let m_values: Vec<usize> = [1usize, 3, 5]
+    // the relative growth with M. M runs up to every segment of the
+    // bench: {1, 3, 5} at N = 5, {1, 2} at N = 2.
+    let mut m_values: Vec<usize> = [1usize, 3]
         .into_iter()
-        .filter(|&m| m <= bench.n_segments)
+        .filter(|&m| m < bench.n_segments)
         .collect();
+    m_values.push(bench.n_segments);
     let mut rows = Vec::new();
     for &m in &m_values {
         let under_test: Vec<usize> = (0..m).collect();
@@ -151,4 +153,15 @@ pub fn run(f: &Fidelity) -> Result<ExperimentReport, SpiceError> {
         seed: Some(1010),
         stats: Some(total),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fast_sweep_compares_at_least_two_m() {
+        let report = run(&Fidelity::fast()).unwrap();
+        assert!(report.rows.len() >= 2, "{}", report.markdown());
+    }
 }

@@ -7,7 +7,7 @@ use rotsv_mosfet::tech45::DriveStrength;
 use rotsv_num::SymbolicCache;
 use rotsv_spice::{
     transient_queue, transient_stream, Circuit, IntegrationMethod, NodeId, PeriodMeasurement,
-    SolverStats, SourceWaveform, SpiceError, StepControl, TransientResult, TransientSpec, Waveform,
+    SolverStats, SourceWaveform, SpiceError, StepControl, TransientResult, TransientSpec,
 };
 use rotsv_stdcell::CellBuilder;
 use rotsv_tsv::{Tsv, TsvFault, TsvModel, TsvTech};
@@ -371,7 +371,8 @@ impl RingOscillator {
     /// Measures `ros` — same-topology rings differing only in element
     /// values (process variation, fault severity) — by streaming them
     /// through `lanes` SIMD lanes with mid-transient refill
-    /// ([`transient_queue`]): one shared symbolic analysis, one Newton
+    /// ([`transient_queue`], one [`transient_stream`] session over the
+    /// rings' circuits): one shared symbolic analysis, one Newton
     /// loop evaluating all lanes (each on its own clock), and when a
     /// ring's crossing count completes, the next queued ring is seated
     /// into its lane immediately. Per-ring outcomes are bit-identical at
@@ -423,11 +424,13 @@ impl RingOscillator {
     /// server drives — rings admitted while a group is mid-transient
     /// seat into retiring lanes without draining the batch.
     ///
-    /// The rings are consumed: the engine owns their circuits for the
-    /// lifetime of the streaming session. `source` is polled
-    /// non-blockingly at each retirement; returning `None` idles the
-    /// lane for the rest of the session. `sink` receives the ring index
-    /// (0-based over `initial` then each sourced ring, in pull order).
+    /// The rings are consumed: the engine owns each ring's circuit from
+    /// the moment it is seated until its lane refills, so a session
+    /// holds O(`lanes`) circuits however many rings it measures.
+    /// `source` is polled non-blockingly at each retirement; returning
+    /// `None` idles the lane for the rest of the session. `sink` receives
+    /// the ring index (0-based over `initial` then each sourced ring, in
+    /// pull order).
     /// Per-ring outcomes are bit-identical to every other measurement
     /// path over the same circuits. Returns the number of rings
     /// measured and delivered.
@@ -463,12 +466,11 @@ impl RingOscillator {
             assert_eq!(ro.probe, probe, "streamed rings must share the probe node");
         };
         initial.iter().for_each(check);
-        let circuits: Vec<Arc<Circuit>> =
-            initial.into_iter().map(|ro| Arc::new(ro.circuit)).collect();
+        let circuits: Vec<Circuit> = initial.into_iter().map(|ro| ro.circuit).collect();
         let mut ckt_source = || {
             source().map(|ro| {
                 check(&ro);
-                Arc::new(ro.circuit)
+                ro.circuit
             })
         };
         let mut ckt_sink = |die: usize, res: TransientResult| {
@@ -476,17 +478,6 @@ impl RingOscillator {
             sink(die, outcome, stats);
         };
         transient_stream(circuits, lanes, &spec, &mut ckt_source, &mut ckt_sink)
-    }
-
-    /// Simulates the ring and returns the probe waveform (for plotting
-    /// and debugging rather than measurement).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn probe_waveform(&self, t_stop: f64, dt: f64) -> Result<Waveform, SpiceError> {
-        let spec = TransientSpec::new(t_stop, dt).record(&[self.probe]);
-        Ok(self.circuit.transient(&spec)?.waveform(self.probe))
     }
 }
 

@@ -13,6 +13,7 @@
 //! [`TestBench::measure_delta_t_stream`] uses.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rotsv::ro::RingOscillator;
@@ -70,21 +71,27 @@ fn run_session(shared: &Shared, key: &str, units: Vec<Unit>) {
     };
 
     let initial: Vec<RingOscillator> = units.iter().map(&build_ro).collect();
-    let seated = RefCell::new(units);
-    let delivered = RefCell::new(vec![false; seated.borrow().len()]);
+    // The units in flight, by the index the engine gives their ring: 0..
+    // over `initial`, then each sourced ring in pull order. A unit leaves
+    // the map when its verdict is recorded, so the bookkeeping is
+    // proportional to the work in flight, not to the session's length.
+    let mut next = units.len();
+    let in_flight: RefCell<BTreeMap<usize, Unit>> =
+        RefCell::new(units.into_iter().enumerate().collect());
 
     let mut source = || {
         shared.queue.take_one(key).map(|unit| {
             let ro = build_ro(&unit);
-            seated.borrow_mut().push(unit);
-            delivered.borrow_mut().push(false);
+            in_flight.borrow_mut().insert(next, unit);
+            next += 1;
             ro
         })
     };
     let mut sink =
         |idx: usize, outcome: rotsv::ro::OscillationOutcome, stats: rotsv::spice::SolverStats| {
-            delivered.borrow_mut()[idx] = true;
-            seated.borrow()[idx].record_outcome(outcome, stats);
+            let unit = in_flight.borrow_mut().remove(&idx);
+            unit.expect("each ring is delivered once")
+                .record_outcome(outcome, stats);
         };
 
     let result = RingOscillator::measure_stream_with_stats(
@@ -95,16 +102,12 @@ fn run_session(shared: &Shared, key: &str, units: Vec<Unit>) {
         &mut sink,
     );
     if let Err(e) = result {
-        // The whole session is lost: fail every seated-but-undelivered
-        // unit, then drain the group so a poisoned topology cannot spin
+        // The whole session is lost: fail every unit still in flight,
+        // then drain the group so a poisoned topology cannot spin
         // claim/fail forever.
         let reason = format!("engine failure: {e}");
-        let seated = seated.into_inner();
-        let delivered = delivered.into_inner();
-        for (unit, done) in seated.iter().zip(&delivered) {
-            if !done {
-                unit.record_failure(&reason);
-            }
+        for unit in in_flight.into_inner().into_values() {
+            unit.record_failure(&reason);
         }
         while let Some(unit) = shared.queue.take_one(key) {
             unit.record_failure(&reason);

@@ -42,19 +42,33 @@
 //! alongside it** — the property the refill scheduler and the
 //! chunked-vs-streamed cross-checks rely on.
 //!
-//! **Refill:** [`transient_queue`] seats the first K dies of the
-//! population into the K lanes; whenever a lane finishes (its stop
-//! condition fires or it reaches `t_stop`), the next queued die is seated
-//! into that lane *mid-flight* — state, element values, device-bank
-//! parameters and factorization flags are re-seeded from the incoming
-//! die — so lanes never idle while work remains. Occupancy is observed
-//! per super-iteration in the `mc.batch_occupancy` histogram, and the
+//! **Refill:** [`transient_stream`], the engine's one driver, seats the
+//! first K dies into the K lanes; whenever a lane finishes (its stop
+//! condition fires or it reaches `t_stop`), the die's result goes to the
+//! sink and the next die is seated into that lane *mid-flight* — state,
+//! element values, device-bank parameters and factorization flags are
+//! re-seeded from the incoming die — so lanes never idle while work
+//! remains. [`transient_queue`] is the same session over a slice.
+//! Occupancy is observed per super-iteration in the
+//! `mc.batch_occupancy` histogram, and the
 //! `mc.dt_drag` histogram records, per accepted lane-step, the ratio of
 //! the lane's accepted `dt` to the smallest `dt` among co-resident busy
 //! lanes — the slow-lane drag a lockstep grid would have imposed (the
 //! asynchronous engine grants every proposal, so this is the drag it
 //! *eliminates*; cohort scheduling in `rotsv-core` shrinks it further by
 //! co-seating dies of similar variation magnitude).
+//!
+//! **Seats:** the engine holds one seat per lane, never a per-die table.
+//! A seat holds its die's circuit handle, the die's index as the sink
+//! sees it, and the waveform recorded so far; the workspace's per-lane
+//! counters belong to the same die. Every counter is charged to the die
+//! in the lane that caused it, a symbolic analysis included (to the lane
+//! whose values probed or broke the pivot order), so a stream's dies sum
+//! to its totals. A retiring die's record and counters move to the sink.
+//! Its circuit stays seated until the lane refills or the session ends,
+//! because idle lanes are still stamped at their frozen state and a
+//! device-bank rebuild reads every seated circuit. A session's memory is
+//! thus proportional to its lanes, not to the dies it has run.
 //!
 //! The only shared numerical object is the symbolic pivot order. In the
 //! pathological case where a lane's values defeat it, the re-analysis
@@ -65,6 +79,7 @@
 //! This never happens on the workloads in this repository and the scalar
 //! engine has the same per-die fallback.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -157,15 +172,15 @@ struct BatchDevice {
 }
 
 impl BatchDevice {
-    /// Evaluates every lane at the gathered terminal voltages `v` into
+    /// Evaluates all `k` lanes at the gathered terminal voltages `v` into
     /// `current` and `jacobian` (layouts as in [`BatchedDeviceEval`]).
-    /// The per-lane fallback evaluates the device of the die seated in
-    /// each lane (`lane_die`).
+    /// The per-lane fallback evaluates the device of the circuit seated
+    /// in each lane.
     fn eval(
         &mut self,
-        ckts: &Population,
+        seated: &dyn LaneCircuits,
         elem_idx: usize,
-        lane_die: &[usize],
+        k: usize,
         v: &[f64],
         current: &mut [f64],
         jacobian: &mut [f64],
@@ -173,10 +188,9 @@ impl BatchDevice {
         match &mut self.kind {
             DeviceKind::Batched(bank) => bank.eval_lanes(v, current, jacobian),
             DeviceKind::PerLane { stamp, v: lane_v } => {
-                let k = lane_die.len();
                 let nt = self.nodes.len();
-                for (lane, &die) in lane_die.iter().enumerate() {
-                    let Element::Nonlinear(d) = &ckts.get(die).elements[elem_idx] else {
+                for lane in 0..k {
+                    let Element::Nonlinear(d) = &seated.circuit(lane).elements[elem_idx] else {
                         unreachable!("validated topology");
                     };
                     for (ti, vt) in lane_v.iter_mut().enumerate() {
@@ -206,8 +220,7 @@ struct Companions {
     ieq: Vec<f64>,
 }
 
-/// Reusable assembly/factorization workspace for a K-lane batch over an
-/// N-die population (`lane_die` maps each lane to its current die).
+/// Reusable assembly/factorization workspace for a K-lane batch.
 struct BatchWorkspace {
     k: usize,
     n: usize,
@@ -232,11 +245,9 @@ struct BatchWorkspace {
     jbuf: Vec<f64>,
     lu: Option<BatchedLu>,
     cache: Option<Arc<SymbolicCache>>,
-    /// Analysis options shared by every lane (inherited from the first
-    /// circuit of the population).
+    /// Analysis options shared by every lane (inherited from the circuit
+    /// first seated in lane 0).
     opts: AnalyzeOptions,
-    /// Which die occupies each lane (index into the population).
-    lane_die: Vec<usize>,
     /// Per-lane: are the stored LU factors usable?
     lu_valid: Vec<bool>,
     /// Per-lane: has the lane ever been factored (gates the
@@ -250,53 +261,21 @@ struct BatchWorkspace {
     resid: Vec<f64>,
     /// `k` per-terminal rhs scratch.
     rhs: Vec<f64>,
-    /// Per-**die** work counters (population order, length N).
+    /// Per-lane work counters of the die seated in each lane, moved out
+    /// with its record when it retires.
     stats: Vec<SolverStats>,
     /// Engine-session id tagging this workspace's lane events
     /// ([`rotsv_obs::lane_operand`]).
     session: u32,
 }
 
-/// The die population an engine streams: either borrowed up front (the
-/// [`transient_queue`] form, population known and fixed) or owned and
-/// grown mid-run as a [`transient_stream`] source hands over newly
-/// admitted dies.
-enum Population<'a> {
-    /// The whole population, borrowed at construction.
-    Borrowed(&'a [&'a Circuit]),
-    /// An owned population that grows as the source yields circuits.
-    Streamed(Vec<Arc<Circuit>>),
-}
-
-impl Population<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Population::Borrowed(s) => s.len(),
-            Population::Streamed(v) => v.len(),
-        }
-    }
-
-    fn get(&self, die: usize) -> &Circuit {
-        match self {
-            Population::Borrowed(s) => s[die],
-            Population::Streamed(v) => &v[die],
-        }
-    }
-
-    /// Borrows every die (construction-time use only; the hot paths
-    /// index through [`Population::get`]).
-    fn refs(&self) -> Vec<&Circuit> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
-
-    fn push(&mut self, ckt: Arc<Circuit>) {
-        match self {
-            Population::Streamed(v) => v.push(ckt),
-            Population::Borrowed(_) => {
-                unreachable!("only a streaming engine pulls from a source")
-            }
-        }
-    }
+/// The circuit seated in each lane, read by the per-lane device
+/// fallback and by a device-bank rebuild. The engine implements it over
+/// its seats, which keeps the workspace independent of the circuit
+/// handle type.
+trait LaneCircuits {
+    /// The circuit seated in `lane`.
+    fn circuit(&self, lane: usize) -> &Circuit;
 }
 
 /// Checks that every die has the topology of die 0: same nodes, same
@@ -359,15 +338,15 @@ fn validate_topology(ckts: &[&Circuit]) -> Result<(), SpiceError> {
 }
 
 impl BatchWorkspace {
-    /// Builds a K-lane workspace over the population `ckts`, seating dies
-    /// `0..k` into the lanes initially.
-    fn new(ckts: &[&Circuit], k: usize) -> Result<Self, SpiceError> {
-        validate_topology(ckts)?;
-        let c0 = ckts[0];
+    /// Builds a workspace with one lane per circuit of `seated`, lane 0
+    /// first.
+    fn new(seated: &[&Circuit]) -> Result<Self, SpiceError> {
+        validate_topology(seated)?;
+        let k = seated.len();
+        let c0 = seated[0];
         let n = c0.unknown_count();
         let coords = stamp_coords(c0);
         let (pattern, slots) = SparseMatrix::from_coords(n, &coords);
-        let seated = &ckts[..k];
 
         let mut elems = Vec::with_capacity(c0.elements.len());
         let mut devices = Vec::new();
@@ -451,26 +430,26 @@ impl BatchWorkspace {
             lu: None,
             cache: c0.symbolic_cache().cloned(),
             opts: c0.solver_options(),
-            lane_die: (0..k).collect(),
             lu_valid: vec![false; k],
             factored_once: vec![false; k],
             refactor_mask: vec![false; k],
             resid: vec![0.0; n * k],
             rhs: vec![0.0; k],
-            stats: vec![SolverStats::default(); ckts.len()],
+            stats: vec![SolverStats::default(); k],
             session: rotsv_obs::next_session(),
         })
     }
 
-    /// Seats `die` into `lane`: re-extracts that lane's element values
-    /// (conductances, waveforms), re-seats or rebuilds the device banks,
-    /// and invalidates the lane's stored LU factors. The caller re-seeds
-    /// the dynamic state (`x`, capacitor history, lane clock).
-    fn reseat_lane(&mut self, ckts: &Population, lane: usize, die: usize) {
-        self.lane_die[lane] = die;
+    /// Re-seats `lane` from the circuit now seated there: re-extracts the
+    /// lane's element values (conductances, waveforms), re-seats or
+    /// rebuilds the device banks, invalidates the lane's stored LU
+    /// factors and zeroes its counters. The caller re-seeds the dynamic
+    /// state (`x`, capacitor history, lane clock).
+    fn reseat_lane(&mut self, seated: &dyn LaneCircuits, lane: usize) {
         self.lu_valid[lane] = false;
         self.factored_once[lane] = false;
-        let c = ckts.get(die);
+        self.stats[lane] = SolverStats::default();
+        let c = seated.circuit(lane);
         for (ei, elem) in self.elems.iter_mut().enumerate() {
             match elem {
                 BatchElem::Resistor { g, .. } => {
@@ -501,15 +480,13 @@ impl BatchWorkspace {
                         // O(1) in-place re-seat when the bank accepts the
                         // incoming device (uniform shared parameters).
                         DeviceKind::Batched(bank) => !bank.reseat_lane(lane, d.as_ref()),
-                        // Per-lane fallback reads `ckts[lane_die[lane]]`
+                        // Per-lane fallback reads the seated circuit
                         // directly at stamp time — nothing to update.
                         DeviceKind::PerLane { .. } => false,
                     };
                     if rebuild {
-                        let lanes_refs: Vec<&dyn NonlinearDevice> = self
-                            .lane_die
-                            .iter()
-                            .map(|&ld| match &ckts.get(ld).elements[ei] {
+                        let lanes_refs: Vec<&dyn NonlinearDevice> = (0..self.k)
+                            .map(|l| match &seated.circuit(l).elements[ei] {
                                 Element::Nonlinear(dd) => dd.as_ref(),
                                 _ => unreachable!("validated topology"),
                             })
@@ -554,20 +531,26 @@ impl BatchWorkspace {
     /// Dispatches to the monomorphized assembly for the common lane
     /// counts; the dynamic body is the fallback (and the reference: each
     /// pair of arms performs bit-identical per-lane arithmetic).
-    fn assemble(&mut self, ckts: &Population, x: &[f64], t: &[f64], companions: &Companions) {
+    fn assemble(
+        &mut self,
+        seated: &dyn LaneCircuits,
+        x: &[f64],
+        t: &[f64],
+        companions: &Companions,
+    ) {
         match self.k {
-            1 => self.assemble_k::<1>(ckts, x, t, companions),
-            2 => self.assemble_k::<2>(ckts, x, t, companions),
-            3 => self.assemble_k::<3>(ckts, x, t, companions),
-            4 => self.assemble_k::<4>(ckts, x, t, companions),
-            5 => self.assemble_k::<5>(ckts, x, t, companions),
-            6 => self.assemble_k::<6>(ckts, x, t, companions),
-            7 => self.assemble_k::<7>(ckts, x, t, companions),
-            8 => self.assemble_k::<8>(ckts, x, t, companions),
-            16 => self.assemble_k::<16>(ckts, x, t, companions),
-            32 => self.assemble_k::<32>(ckts, x, t, companions),
-            64 => self.assemble_k::<64>(ckts, x, t, companions),
-            _ => self.assemble_dyn(ckts, x, t, companions),
+            1 => self.assemble_k::<1>(seated, x, t, companions),
+            2 => self.assemble_k::<2>(seated, x, t, companions),
+            3 => self.assemble_k::<3>(seated, x, t, companions),
+            4 => self.assemble_k::<4>(seated, x, t, companions),
+            5 => self.assemble_k::<5>(seated, x, t, companions),
+            6 => self.assemble_k::<6>(seated, x, t, companions),
+            7 => self.assemble_k::<7>(seated, x, t, companions),
+            8 => self.assemble_k::<8>(seated, x, t, companions),
+            16 => self.assemble_k::<16>(seated, x, t, companions),
+            32 => self.assemble_k::<32>(seated, x, t, companions),
+            64 => self.assemble_k::<64>(seated, x, t, companions),
+            _ => self.assemble_dyn(seated, x, t, companions),
         }
     }
 
@@ -578,7 +561,7 @@ impl BatchWorkspace {
     /// decision never changes a transient.
     fn assemble_k<const K: usize>(
         &mut self,
-        ckts: &Population,
+        seated: &dyn LaneCircuits,
         x: &[f64],
         t: &[f64],
         companions: &Companions,
@@ -590,41 +573,41 @@ impl BatchWorkspace {
             let level = simd::level();
             if K.is_multiple_of(8) && level == Level::Avx512 {
                 // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.assemble_avx512::<K>(ckts, x, t, companions) };
+                return unsafe { self.assemble_avx512::<K>(seated, x, t, companions) };
             }
             if K.is_multiple_of(4) && level >= Level::Avx2 {
                 // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.assemble_avx2::<K>(ckts, x, t, companions) };
+                return unsafe { self.assemble_avx2::<K>(seated, x, t, companions) };
             }
         }
         // SAFETY: the scalar arm has no ISA requirements.
-        unsafe { self.assemble_body::<K, ScalarLanes>(ckts, x, t, companions) }
+        unsafe { self.assemble_body::<K, ScalarLanes>(seated, x, t, companions) }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
     fn assemble_avx512<const K: usize>(
         &mut self,
-        ckts: &Population,
+        seated: &dyn LaneCircuits,
         x: &[f64],
         t: &[f64],
         companions: &Companions,
     ) {
         // SAFETY: caller verified avx512f; we are in a matching region.
-        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx512Lanes>(ckts, x, t, companions) }
+        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx512Lanes>(seated, x, t, companions) }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn assemble_avx2<const K: usize>(
         &mut self,
-        ckts: &Population,
+        seated: &dyn LaneCircuits,
         x: &[f64],
         t: &[f64],
         companions: &Companions,
     ) {
         // SAFETY: caller verified avx2; we are in a matching region.
-        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx2Lanes>(ckts, x, t, companions) }
+        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx2Lanes>(seated, x, t, companions) }
     }
 
     /// The assembly sweep, generic over the ISA token. Each lane is
@@ -640,7 +623,7 @@ impl BatchWorkspace {
     #[inline(always)]
     unsafe fn assemble_body<const K: usize, S: Simd>(
         &mut self,
-        ckts: &Population,
+        seated: &dyn LaneCircuits,
         x: &[f64],
         t: &[f64],
         companions: &Companions,
@@ -741,7 +724,7 @@ impl BatchWorkspace {
                 }
                 BatchElem::Device(di) => {
                     // SAFETY: propagated from the caller.
-                    cursor = unsafe { self.stamp_device_body::<K, S>(ckts, ei, *di, x, cursor) };
+                    cursor = unsafe { self.stamp_device_body::<K, S>(seated, ei, *di, x, cursor) };
                 }
             }
         }
@@ -805,7 +788,7 @@ impl BatchWorkspace {
     #[inline(always)]
     unsafe fn stamp_device_body<const K: usize, S: Simd>(
         &mut self,
-        ckts: &Population,
+        seated: &dyn LaneCircuits,
         elem_idx: usize,
         dev_idx: usize,
         x: &[f64],
@@ -822,7 +805,7 @@ impl BatchWorkspace {
                 None => vbuf[ti * K..(ti + 1) * K].fill(0.0),
             }
         }
-        dev.eval(ckts, elem_idx, &self.lane_die, vbuf, cbuf, jbuf);
+        dev.eval(seated, elem_idx, K, vbuf, cbuf, jbuf);
         let live = dev.kind.live_rows();
         let row_slots = dev.nodes.iter().filter(|&&n| row_of(n).is_some()).count();
         let cbp = cbuf.as_ptr();
@@ -872,7 +855,13 @@ impl BatchWorkspace {
     // Lane loops deliberately index several parallel arrays by `lane`;
     // the iterator forms clippy suggests obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
-    fn assemble_dyn(&mut self, ckts: &Population, x: &[f64], t: &[f64], companions: &Companions) {
+    fn assemble_dyn(
+        &mut self,
+        seated: &dyn LaneCircuits,
+        x: &[f64],
+        t: &[f64],
+        companions: &Companions,
+    ) {
         let k = self.k;
         self.values.fill(0.0);
         self.b.fill(0.0);
@@ -948,7 +937,7 @@ impl BatchWorkspace {
                     }
                 }
                 BatchElem::Device(di) => {
-                    cursor = self.stamp_device(ckts, ei, *di, x, cursor);
+                    cursor = self.stamp_device(seated, ei, *di, x, cursor);
                 }
             }
         }
@@ -975,7 +964,7 @@ impl BatchWorkspace {
     #[allow(clippy::needless_range_loop)]
     fn stamp_device(
         &mut self,
-        ckts: &Population,
+        seated: &dyn LaneCircuits,
         elem_idx: usize,
         dev_idx: usize,
         x: &[f64],
@@ -994,7 +983,7 @@ impl BatchWorkspace {
                 None => vbuf[ti * k..(ti + 1) * k].fill(0.0),
             }
         }
-        dev.eval(ckts, elem_idx, &self.lane_die, vbuf, cbuf, jbuf);
+        dev.eval(seated, elem_idx, k, vbuf, cbuf, jbuf);
         let live = dev.kind.live_rows();
         let row_slots = dev.nodes.iter().filter(|&&n| row_of(n).is_some()).count();
         // Norton linearization, lane loops innermost (see the scalar
@@ -1029,16 +1018,23 @@ impl BatchWorkspace {
         cursor
     }
 
+    /// The first lane of the current refactor mask (lane 0 if none).
+    fn first_masked_lane(&self) -> usize {
+        self.refactor_mask.iter().position(|&m| m).unwrap_or(0)
+    }
+
     /// (Re)factors the lanes whose refresh policy fired (`want`),
     /// per-lane: each wanted lane whose values changed since its last
     /// factorization is swept individually (bit-identical to any other
     /// lane composition), unchanged lanes keep their factors (the scalar
     /// skip-if-unchanged, applied per lane).
     ///
-    /// Counter attribution keeps population sums meaningful: symbolic
-    /// analyses are charged to die 0 only (the queue performs
-    /// O(topologies) analyses, not O(dies)), while factorizations are
-    /// charged to the die seated in each factored lane.
+    /// Counter attribution keeps population sums meaningful: a symbolic
+    /// analysis is charged once, to the die in the lane that triggered it
+    /// (the first lane factored in that round, whose values probed or
+    /// broke the pivot order), so a session performs O(topologies)
+    /// analyses, not O(dies); factorizations are charged to the die
+    /// seated in each factored lane.
     ///
     /// If pivot drift in a factored lane forces a shared re-analysis,
     /// every other lane's factors die with the old pivot order; the busy
@@ -1075,7 +1071,7 @@ impl BatchWorkspace {
             // cache) using the first wanted lane's values as the probe.
             // Every lane shares the pattern, so the pivot order transfers;
             // a lane it fails for triggers the masked re-analysis below.
-            let probe_lane = (0..k).find(|&l| self.refactor_mask[l]).unwrap_or(0);
+            let probe_lane = self.first_masked_lane();
             let mut probe = self.pattern.clone();
             probe.zero_values();
             for s in 0..nnz {
@@ -1093,7 +1089,7 @@ impl BatchWorkspace {
                     1,
                 ),
             };
-            self.stats[0].symbolic_analyses += analyses;
+            self.stats[probe_lane].symbolic_analyses += analyses;
             self.lu = Some(BatchedLu::new(sym, k));
         }
         let mut rounds = 0u32;
@@ -1108,12 +1104,12 @@ impl BatchWorkspace {
             let (analyses, invalidated) = lu
                 .refactor_masked(&self.pattern, &self.values, &self.refactor_mask)
                 .map_err(map_err)?;
-            self.stats[0].symbolic_analyses += analyses;
+            // Pivot drift forced a shared re-analysis; attribute it to the
+            // first lane factored this round (the one whose values broke
+            // the old order, or its successor).
+            let culprit = self.first_masked_lane();
+            self.stats[culprit].symbolic_analyses += analyses;
             if analyses > 0 && rotsv_obs::events_enabled() {
-                // Pivot drift forced a shared re-analysis; attribute the
-                // instant to the first lane factored this round (the one
-                // whose values broke the old order, or its successor).
-                let culprit = (0..k).find(|&l| self.refactor_mask[l]).unwrap_or(0);
                 rotsv_obs::record_event(
                     rotsv_obs::EventKind::Reanalysis,
                     rotsv_obs::lane_operand(self.session, culprit),
@@ -1125,7 +1121,7 @@ impl BatchWorkspace {
                 if !self.refactor_mask[lane] {
                     continue;
                 }
-                self.stats[self.lane_die[lane]].factorizations += 1;
+                self.stats[lane].factorizations += 1;
                 self.lu_valid[lane] = true;
                 self.factored_once[lane] = true;
                 for s in 0..nnz {
@@ -1218,6 +1214,31 @@ struct LaneState {
     stop_prev: f64,
 }
 
+impl LaneState {
+    /// A busy lane at t = 0 of a new die with nominal step `dt`, its stop
+    /// tracking primed with the stop node's initial voltage `stop_prev`.
+    fn start(dt: f64, stop_prev: f64) -> Self {
+        Self {
+            busy: true,
+            phase: LanePhase::StartStep,
+            t: 0.0,
+            t_next: 0.0,
+            dt_try: dt,
+            dt_next: dt,
+            dt_prev: dt,
+            has_hist: false,
+            steps: 0,
+            halvings: 0,
+            iter: 0,
+            prev_rnorm: f64::INFINITY,
+            prev_damped: false,
+            stale_iters: 0,
+            crossings: 0,
+            stop_prev,
+        }
+    }
+}
+
 /// Reads node voltage of `lane` from a lane-interleaved vector.
 #[inline]
 fn lane_voltage(x: &[f64], k: usize, node: NodeId, lane: usize) -> f64 {
@@ -1295,9 +1316,44 @@ impl StageTimers {
     }
 }
 
-/// The asynchronous K-lane engine streaming an N-die queue.
-struct QueueEngine<'a> {
-    ckts: Population<'a>,
+/// One lane's occupant: the die's circuit handle, its index as the sink
+/// sees it, and its record so far. Its counters are the workspace's
+/// `stats[lane]`.
+struct Seat<C> {
+    ckt: C,
+    die: usize,
+    time: Vec<f64>,
+    columns: BTreeMap<NodeId, Vec<f64>>,
+}
+
+impl<C> Seat<C> {
+    /// Die `die` on circuit `ckt`, with an empty column per recorded node.
+    fn new(ckt: C, die: usize, record_nodes: &[NodeId]) -> Self {
+        Self {
+            ckt,
+            die,
+            time: Vec::new(),
+            columns: record_nodes.iter().map(|&nd| (nd, Vec::new())).collect(),
+        }
+    }
+}
+
+impl<C: Borrow<Circuit>> LaneCircuits for Vec<Seat<C>> {
+    fn circuit(&self, lane: usize) -> &Circuit {
+        self[lane].ckt.borrow()
+    }
+}
+
+/// The asynchronous K-lane engine: K seats, refilled from the initial
+/// dies not yet seated and then from the source, each retiring die
+/// delivered to the sink.
+struct QueueEngine<'a, C> {
+    seats: Vec<Seat<C>>,
+    /// Initial dies not yet seated, seated before any sourced die.
+    pending: std::vec::IntoIter<C>,
+    /// Dies pulled so far: the index the sink sees for the next one.
+    /// Once every lane is idle, each of them has been delivered.
+    pulled: usize,
     spec: &'a TransientSpec,
     ws: BatchWorkspace,
     k: usize,
@@ -1321,36 +1377,31 @@ struct QueueEngine<'a> {
     /// `k` per-lane evaluation times (busy: trial end; idle: frozen).
     t_eval: Vec<f64>,
     lanes: Vec<LaneState>,
-    /// Per-die recording (population order).
-    time: Vec<Vec<f64>>,
-    columns: Vec<BTreeMap<NodeId, Vec<f64>>>,
-    current_columns: Vec<BTreeMap<usize, Vec<f64>>>,
-    stopped_early: Vec<bool>,
-    steps_taken: Vec<usize>,
-    /// Next queued die (population index).
-    next_die: usize,
-    /// Recorded-node template, kept so streamed dies admitted mid-run
-    /// get the same column layout as the initial population.
+    /// Recorded-node template, the column layout of every die's record.
     record_nodes: Vec<NodeId>,
-    /// Streaming source, pulled (non-blockingly) at lane retirement
-    /// once the initial population is exhausted.
-    source: Option<&'a mut dyn FnMut() -> Option<Arc<Circuit>>>,
-    /// Streaming sink: each die's result is delivered the moment it
-    /// retires, keeping recorded waveforms O(active lanes).
-    sink: Option<&'a mut dyn FnMut(usize, TransientResult)>,
-    /// Dies delivered through `sink`.
-    delivered: usize,
+    /// Polled (non-blockingly) at lane retirement once `pending` is
+    /// exhausted.
+    source: &'a mut dyn FnMut() -> Option<C>,
+    /// Receives each die's result the moment it retires.
+    sink: &'a mut dyn FnMut(usize, TransientResult),
 }
 
-impl<'a> QueueEngine<'a> {
-    fn new(ckts: Population<'a>, k: usize, spec: &'a TransientSpec) -> Result<Self, SpiceError> {
+impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
+    /// Builds the engine with one lane per circuit of `seated` (dies
+    /// `0..k`, in order) and seats them.
+    fn new(
+        seated: Vec<C>,
+        pending: std::vec::IntoIter<C>,
+        spec: &'a TransientSpec,
+        source: &'a mut dyn FnMut() -> Option<C>,
+        sink: &'a mut dyn FnMut(usize, TransientResult),
+    ) -> Result<Self, SpiceError> {
         let ws = {
-            let refs = ckts.refs();
-            BatchWorkspace::new(&refs, k)?
+            let refs: Vec<&Circuit> = seated.iter().map(Borrow::borrow).collect();
+            BatchWorkspace::new(&refs)?
         };
-        let n = ws.n;
-        let n_node_unknowns = ws.n_node_unknowns;
-        let n_dies = ckts.len();
+        let (k, n, n_node_unknowns) = (ws.k, ws.n, ws.n_node_unknowns);
+        let c0: &Circuit = seated[0].borrow();
 
         let mut x0 = vec![0.0f64; n];
         for &(node, v) in &spec.initial_voltages {
@@ -1359,8 +1410,7 @@ impl<'a> QueueEngine<'a> {
             }
         }
 
-        let cap_nodes: Vec<(NodeId, NodeId)> = ckts
-            .get(0)
+        let cap_nodes: Vec<(NodeId, NodeId)> = c0
             .elements
             .iter()
             .filter_map(|e| match e {
@@ -1371,27 +1421,23 @@ impl<'a> QueueEngine<'a> {
         let n_caps = cap_nodes.len();
 
         let record_nodes: Vec<NodeId> = if spec.record_nodes.is_empty() {
-            (0..ckts.get(0).node_count()).map(NodeId).collect()
+            (0..c0.node_count()).map(NodeId).collect()
         } else {
             let mut nodes = spec.record_nodes.clone();
             nodes.sort_unstable();
             nodes.dedup();
             nodes
         };
-        let columns: Vec<BTreeMap<NodeId, Vec<f64>>> = (0..n_dies)
-            .map(|_| record_nodes.iter().map(|&nd| (nd, Vec::new())).collect())
-            .collect();
-        let current_columns: Vec<BTreeMap<usize, Vec<f64>>> = (0..n_dies)
-            .map(|_| {
-                spec.record_currents
-                    .iter()
-                    .map(|vs| (vs.0, Vec::new()))
-                    .collect()
-            })
+        let seats = seated
+            .into_iter()
+            .enumerate()
+            .map(|(die, ckt)| Seat::new(ckt, die, &record_nodes))
             .collect();
 
-        Ok(Self {
-            ckts,
+        let mut eng = Self {
+            seats,
+            pending,
+            pulled: k,
             spec,
             ws,
             k,
@@ -1409,69 +1455,49 @@ impl<'a> QueueEngine<'a> {
             },
             caps: vec![CapLane::default(); n_caps * k],
             t_eval: vec![0.0; k],
-            lanes: vec![
-                LaneState {
-                    busy: false,
-                    phase: LanePhase::StartStep,
-                    t: 0.0,
-                    t_next: 0.0,
-                    dt_try: spec.dt,
-                    dt_next: spec.dt,
-                    dt_prev: spec.dt,
-                    has_hist: false,
-                    steps: 0,
-                    halvings: 0,
-                    iter: 0,
-                    prev_rnorm: f64::INFINITY,
-                    prev_damped: false,
-                    stale_iters: 0,
-                    crossings: 0,
-                    stop_prev: 0.0,
-                };
-                k
-            ],
-            time: vec![Vec::new(); n_dies],
-            columns,
-            current_columns,
-            stopped_early: vec![false; n_dies],
-            steps_taken: vec![0usize; n_dies],
-            next_die: 0,
+            lanes: vec![LaneState::start(spec.dt, 0.0); k],
             record_nodes,
-            source: None,
-            sink: None,
-            delivered: 0,
-        })
+            source,
+            sink,
+        };
+        let ring = rotsv_obs::events_enabled();
+        for lane in 0..k {
+            if ring {
+                rotsv_obs::record_event(
+                    rotsv_obs::EventKind::LaneSeat,
+                    rotsv_obs::lane_operand(eng.ws.session, lane),
+                    lane as u32,
+                    0.0,
+                );
+            }
+            eng.start(lane);
+        }
+        Ok(eng)
     }
 
     /// Appends the current accepted state of `lane` to its die's record.
-    fn record(&mut self, die: usize, lane: usize, t: f64) {
-        let k = self.k;
-        self.time[die].push(t);
-        for (&node, col) in self.columns[die].iter_mut() {
-            col.push(match row_of(node) {
-                Some(r) => self.x[r * k + lane],
-                None => 0.0,
-            });
-        }
-        for (&branch, col) in self.current_columns[die].iter_mut() {
-            col.push(self.x[(self.n_node_unknowns + branch) * k + lane]);
+    fn record(&mut self, lane: usize, t: f64) {
+        let seat = &mut self.seats[lane];
+        seat.time.push(t);
+        for (&node, col) in seat.columns.iter_mut() {
+            col.push(lane_voltage(&self.x, self.k, node, lane));
         }
     }
 
-    /// Seats `die` into `lane` at its own t = 0: re-seeds the unknown
-    /// vector, capacitor values and history, lane clock and stop
+    /// Starts the die seated in `lane` at its own t = 0: re-seeds the
+    /// unknown vector, capacitor values and history, lane clock and stop
     /// tracking, re-extracts the lane's element values and device-bank
-    /// parameters, and invalidates the lane's factors. The incoming
-    /// die's variation deltas and waveforms come from its own circuit
+    /// parameters, and invalidates the lane's factors. The die's
+    /// variation deltas and waveforms come from its own circuit
     /// (index-deterministic per die), so trajectories are independent of
     /// when and where the die is seated.
-    fn seat(&mut self, lane: usize, die: usize) {
+    fn start(&mut self, lane: usize) {
         let k = self.k;
         for i in 0..self.n {
             self.x[i * k + lane] = self.x0[i];
             self.x_try[i * k + lane] = self.x0[i];
         }
-        let c = self.ckts.get(die);
+        let c: &Circuit = self.seats[lane].ckt.borrow();
         let mut ci = 0usize;
         for e in &c.elements {
             if let Element::Capacitor { farads: f, .. } = e {
@@ -1490,43 +1516,9 @@ impl<'a> QueueEngine<'a> {
             }
             None => 0.0,
         };
-        self.lanes[lane] = LaneState {
-            busy: true,
-            phase: LanePhase::StartStep,
-            t: 0.0,
-            t_next: 0.0,
-            dt_try: self.spec.dt,
-            dt_next: self.spec.dt,
-            dt_prev: self.spec.dt,
-            has_hist: false,
-            steps: 0,
-            halvings: 0,
-            iter: 0,
-            prev_rnorm: f64::INFINITY,
-            prev_damped: false,
-            stale_iters: 0,
-            crossings: 0,
-            stop_prev,
-        };
-        self.ws.reseat_lane(&self.ckts, lane, die);
-        self.record(die, lane, 0.0);
-    }
-
-    /// Seats dies `0..k` into the lanes at engine start.
-    fn seat_initial(&mut self) {
-        let ring = rotsv_obs::events_enabled();
-        for lane in 0..self.k {
-            if ring {
-                rotsv_obs::record_event(
-                    rotsv_obs::EventKind::LaneSeat,
-                    rotsv_obs::lane_operand(self.ws.session, lane),
-                    lane as u32,
-                    0.0,
-                );
-            }
-            self.seat(lane, lane);
-        }
-        self.next_die = self.k;
+        self.lanes[lane] = LaneState::start(self.spec.dt, stop_prev);
+        self.ws.reseat_lane(&self.seats, lane);
+        self.record(lane, 0.0);
     }
 
     /// The super-iteration loop: one Newton iteration across all busy
@@ -1642,12 +1634,12 @@ impl<'a> QueueEngine<'a> {
             // lane at its own (x_try, t), one vectorized residual + solve.
             for lane in 0..k {
                 if busy[lane] {
-                    self.ws.stats[self.ws.lane_die[lane]].newton_iterations += 1;
+                    self.ws.stats[lane].newton_iterations += 1;
                 }
             }
             stages.lap(Stage::Lanes);
             self.ws
-                .assemble(&self.ckts, &self.x_try, &self.t_eval, &self.companions);
+                .assemble(&self.seats, &self.x_try, &self.t_eval, &self.companions);
             stages.lap(Stage::Assemble);
             let mut resid = std::mem::take(&mut self.ws.resid);
             self.ws
@@ -1704,7 +1696,7 @@ impl<'a> QueueEngine<'a> {
                 .solve_in_place(&mut delta);
             for lane in 0..k {
                 if busy[lane] {
-                    self.ws.stats[self.ws.lane_die[lane]].solves += 1;
+                    self.ws.stats[lane].solves += 1;
                     self.lanes[lane].prev_rnorm = rnorm[lane];
                 }
             }
@@ -1776,7 +1768,7 @@ impl<'a> QueueEngine<'a> {
             let share = (now - lap).as_secs_f64() / n_busy as f64;
             lap = now;
             for lane in (0..k).filter(|&l| busy[l]) {
-                self.ws.stats[self.ws.lane_die[lane]].wall_seconds += share;
+                self.ws.stats[lane].wall_seconds += share;
             }
 
             // Step outcomes: LTE accept/reject, retirement, refill.
@@ -1797,7 +1789,7 @@ impl<'a> QueueEngine<'a> {
                                     err = err.max((sol - pred).abs() / tol);
                                 }
                                 if err > c.reject_threshold && ls.dt_try > dt_min * (1.0 + 1e-9) {
-                                    self.ws.stats[self.ws.lane_die[lane]].steps_rejected += 1;
+                                    self.ws.stats[lane].steps_rejected += 1;
                                     let ls = &mut self.lanes[lane];
                                     ls.dt_try = (ls.dt_try * (0.9 / err.sqrt()).clamp(0.1, 0.5))
                                         .max(dt_min);
@@ -1831,11 +1823,9 @@ impl<'a> QueueEngine<'a> {
                             ls.t = ls.t_next;
                             ls.steps += 1;
                         }
-                        let die = self.ws.lane_die[lane];
-                        self.ws.stats[die].steps_accepted += 1;
-                        self.steps_taken[die] += 1;
+                        self.ws.stats[lane].steps_accepted += 1;
                         let t_now = self.lanes[lane].t;
-                        self.record(die, lane, t_now);
+                        self.record(lane, t_now);
                         if let Some(h) = &drag_hist {
                             h.observe(self.lanes[lane].dt_prev / min_dt);
                         }
@@ -1880,20 +1870,17 @@ impl<'a> QueueEngine<'a> {
                             finished = true;
                         }
                         if finished {
-                            self.stopped_early[die] = early;
                             self.lanes[lane].busy = false;
                             if ring {
                                 rotsv_obs::record_event(
                                     rotsv_obs::EventKind::LaneRetire,
                                     lane_op(lane),
-                                    die as u32,
+                                    self.seats[lane].die as u32,
                                     0.0,
                                 );
                             }
-                            if self.sink.is_some() {
-                                self.deliver(die);
-                            }
-                            if let Some(incoming) = self.pull_next()? {
+                            self.deliver(lane, early);
+                            if let Some((ckt, incoming)) = self.pull_next(lane)? {
                                 if ring {
                                     rotsv_obs::record_event(
                                         rotsv_obs::EventKind::LaneRefill,
@@ -1902,19 +1889,20 @@ impl<'a> QueueEngine<'a> {
                                         0.0,
                                     );
                                 }
-                                self.seat(lane, incoming);
+                                self.seats[lane] = Seat::new(ckt, incoming, &self.record_nodes);
+                                self.start(lane);
                             }
                         } else {
                             self.lanes[lane].phase = LanePhase::StartStep;
                         }
                     }
                     Outcome::Failed => {
-                        self.ws.stats[self.ws.lane_die[lane]].steps_rejected += 1;
+                        self.ws.stats[lane].steps_rejected += 1;
                         let ls = &mut self.lanes[lane];
                         if adaptive.is_some() {
                             if ls.dt_try <= dt_min * (1.0 + 1e-9) {
                                 return Err(SpiceError::NoConvergence {
-                                    analysis: "transient_queue",
+                                    analysis: "transient_stream",
                                     time: ls.t_next,
                                     iterations: opts.max_iterations,
                                 });
@@ -1924,7 +1912,7 @@ impl<'a> QueueEngine<'a> {
                             ls.halvings += 1;
                             if ls.halvings > MAX_HALVINGS {
                                 return Err(SpiceError::NoConvergence {
-                                    analysis: "transient_queue",
+                                    analysis: "transient_stream",
                                     time: ls.t_next,
                                     iterations: opts.max_iterations,
                                 });
@@ -1955,100 +1943,43 @@ impl<'a> QueueEngine<'a> {
         Ok(())
     }
 
-    /// Hands a retired die's recorded waveforms to the streaming sink.
-    /// The per-die vectors are taken, not cloned, so a long-running
-    /// stream holds recorded data only for dies still in flight.
-    /// `wall_seconds` is the die's share of the super-iterations it ran
-    /// in (see [`QueueEngine::run`]).
-    fn deliver(&mut self, die: usize) {
-        let time = std::mem::take(&mut self.time[die]);
-        let columns = std::mem::take(&mut self.columns[die]);
-        let current_columns = std::mem::take(&mut self.current_columns[die]);
-        let stats = self.ws.stats[die];
+    /// Hands the die retiring from `lane` to the sink: its recorded
+    /// waveforms and counters are moved out, not cloned, so the seat
+    /// keeps only the circuit until the lane refills. `wall_seconds` is
+    /// the die's share of the super-iterations it ran in (see
+    /// [`QueueEngine::run`]).
+    fn deliver(&mut self, lane: usize, stopped_early: bool) {
+        let seat = &mut self.seats[lane];
         let res = TransientResult::from_parts(
-            time,
-            columns,
-            current_columns,
-            self.stopped_early[die],
-            self.steps_taken[die],
-            stats,
+            std::mem::take(&mut seat.time),
+            std::mem::take(&mut seat.columns),
+            stopped_early,
+            self.lanes[lane].steps,
+            std::mem::take(&mut self.ws.stats[lane]),
         );
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink(die, res);
-        }
-        self.delivered += 1;
+        (self.sink)(seat.die, res);
     }
 
-    /// Picks the next die to seat: the remaining initial population
-    /// first, then (in streaming mode) one non-blocking pull from the
-    /// source. A sourced circuit is topology-checked against die 0 and
-    /// given freshly grown per-die recording storage.
+    /// Pulls the next die for `lane` and its index: the initial dies not
+    /// yet seated first, then one non-blocking poll of the source. The
+    /// circuit is topology-checked against the one it replaces (every
+    /// seated circuit was checked against the first).
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::InvalidCircuit`] when the source yields a
-    /// circuit whose topology differs from the population's.
-    fn pull_next(&mut self) -> Result<Option<usize>, SpiceError> {
-        if self.next_die < self.ckts.len() {
-            let die = self.next_die;
-            self.next_die += 1;
-            return Ok(Some(die));
-        }
-        let Some(source) = self.source.as_deref_mut() else {
+    /// Returns [`SpiceError::InvalidCircuit`] when the incoming circuit's
+    /// topology differs from the session's.
+    fn pull_next(&mut self, lane: usize) -> Result<Option<(C, usize)>, SpiceError> {
+        let Some(ckt) = self.pending.next().or_else(&mut *self.source) else {
             return Ok(None);
         };
-        let Some(ckt) = source() else {
-            return Ok(None);
-        };
-        validate_topology(&[self.ckts.get(0), ckt.as_ref()])?;
-        self.ckts.push(ckt);
-        self.time.push(Vec::new());
-        self.columns.push(
-            self.record_nodes
-                .iter()
-                .map(|&nd| (nd, Vec::new()))
-                .collect(),
-        );
-        self.current_columns.push(
-            self.spec
-                .record_currents
-                .iter()
-                .map(|vs| (vs.0, Vec::new()))
-                .collect(),
-        );
-        self.stopped_early.push(false);
-        self.steps_taken.push(0);
-        self.ws.stats.push(SolverStats::default());
-        let die = self.next_die;
-        self.next_die += 1;
-        Ok(Some(die))
-    }
-
-    /// Consumes the engine into per-die results, in population order.
-    /// `wall_seconds` is as in [`QueueEngine::deliver`].
-    fn into_results(self) -> Vec<TransientResult> {
-        let mut out = Vec::with_capacity(self.ckts.len());
-        for (die, ((time, columns), current_columns)) in self
-            .time
-            .into_iter()
-            .zip(self.columns)
-            .zip(self.current_columns)
-            .enumerate()
-        {
-            out.push(TransientResult::from_parts(
-                time,
-                columns,
-                current_columns,
-                self.stopped_early[die],
-                self.steps_taken[die],
-                self.ws.stats[die],
-            ));
-        }
-        out
+        validate_topology(&[self.seats[lane].ckt.borrow(), ckt.borrow()])?;
+        self.pulled += 1;
+        Ok(Some((ckt, self.pulled - 1)))
     }
 }
 
-fn validate_spec(ckts: &[&Circuit], spec: &TransientSpec) -> Result<(), SpiceError> {
+fn validate_spec(ckt: &Circuit, spec: &TransientSpec) -> Result<(), SpiceError> {
     if spec.dt <= 0.0 || !spec.dt.is_finite() {
         return Err(SpiceError::InvalidSpec(format!(
             "time step must be positive, got {}",
@@ -2060,11 +1991,6 @@ fn validate_spec(ckts: &[&Circuit], spec: &TransientSpec) -> Result<(), SpiceErr
             "stop time must be positive, got {}",
             spec.t_stop
         )));
-    }
-    if spec.start_from_dcop {
-        return Err(SpiceError::InvalidSpec(
-            "batched transient does not support start_from_dcop".into(),
-        ));
     }
     if let StepControl::Adaptive(c) = &spec.step {
         let sane = c.lte_reltol > 0.0
@@ -2081,7 +2007,7 @@ fn validate_spec(ckts: &[&Circuit], spec: &TransientSpec) -> Result<(), SpiceErr
         }
     }
     for &(node, _) in &spec.initial_voltages {
-        if node.index() >= ckts[0].node_count() {
+        if node.index() >= ckt.node_count() {
             return Err(SpiceError::InvalidCircuit(format!(
                 "initial condition on unknown node {node}"
             )));
@@ -2090,136 +2016,120 @@ fn validate_spec(ckts: &[&Circuit], spec: &TransientSpec) -> Result<(), SpiceErr
     Ok(())
 }
 
-/// Streams the `ckts` die queue through `lanes` SIMD lanes with
-/// mid-transient refill: when a lane's die finishes (stop condition or
-/// `t_stop`), the next queued die is seated into the lane immediately, so
-/// lanes stay busy until the queue drains. `lanes == ckts.len()` is one
-/// fixed batch (no refill); `lanes == 1` is one die at a time. Results
-/// are returned in population order.
+/// Streams dies through `lanes` SIMD lanes with mid-transient refill:
+/// the lane engine's one driver. When a lane's die finishes (stop
+/// condition or `t_stop`), its result goes to `sink` and the next die is
+/// seated into the lane immediately, so lanes stay busy while work
+/// remains.
+///
+/// Dies come from `initial` first, then from `source`. This is the
+/// continuous-batching seam a resident screening server builds on —
+/// retired lanes pull the next admitted die mid-transient, so the engine
+/// never drains between requests that share a topology. `source` is
+/// polled **non-blockingly** at each retirement once `initial` is used
+/// up (and up-front to fill the lanes when `initial` is shorter than
+/// `lanes`); returning `None` leaves the lane idle for the rest of the
+/// session — a server source should pop from its admission queue
+/// without waiting, and start a new engine session when more work
+/// arrives after a drain. `sink` receives `(die_index, result)` in
+/// retirement order; indices count from 0 over `initial` then each
+/// sourced circuit in pull order.
+///
+/// The circuit handle `C` is anything that borrows a [`Circuit`]:
+/// `&Circuit`, an owned `Circuit` or an `Arc<Circuit>`. The session
+/// holds one seat per lane, never a per-die table: a die's waveforms and
+/// counters move into the sink when it retires, and its circuit is
+/// dropped when its lane refills (or the session ends). Memory is thus
+/// proportional to the lanes, not to the session length.
 ///
 /// Each die's trajectory follows the scalar stepping policies
 /// independently, so the per-die results are **bit-identical** at any
-/// lane count — refill and lane assignment are pure scheduling. All
+/// lane count, admission order and lane assignment — refill is pure
+/// scheduling (see the module docs on composition independence). All
 /// lanes share `spec` (grid, stop condition, recorded nodes); lanes
-/// differ through their circuits' element values. Per-lane
-/// [`SolverStats`] attribute symbolic analyses to die 0 only and split
-/// each super-iteration's wall time over the lanes busy in it, so
-/// summing dies matches the session totals.
+/// differ through their circuits' element values. Per-die
+/// [`SolverStats`] charge each symbolic analysis to the die whose lane
+/// triggered it and split each super-iteration's wall time over the
+/// lanes busy in it, so the dies of a session sum to its totals.
+///
+/// Returns the number of dies completed and delivered to `sink`; with
+/// no die from `initial` or `source`, `Ok(0)`.
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::InvalidCircuit`] when the lanes' topologies
-/// differ, [`SpiceError::InvalidSpec`] for a bad grid or a
-/// `start_from_dcop` request (the lane engine starts from
-/// `initial_voltages` only — ring measurements never use a dcop seed),
-/// and the scalar engine's convergence/singularity errors otherwise; an
+/// Returns [`SpiceError::InvalidCircuit`] when a die's topology differs
+/// from the first die's, [`SpiceError::InvalidSpec`] for a bad grid, and
+/// the scalar engine's convergence/singularity errors otherwise; an
 /// unrecoverable lane (Newton failure at the minimum step, singular
-/// system) aborts the whole queue.
+/// system) aborts the whole session.
+pub fn transient_stream<C: Borrow<Circuit>>(
+    initial: Vec<C>,
+    lanes: usize,
+    spec: &TransientSpec,
+    source: &mut dyn FnMut() -> Option<C>,
+    sink: &mut dyn FnMut(usize, TransientResult),
+) -> Result<usize, SpiceError> {
+    let lanes = lanes.max(1);
+    let mut pending = initial.into_iter();
+    let mut seated: Vec<C> = pending.by_ref().take(lanes).collect();
+    // Fill the lanes before construction so the session starts as full
+    // as the queue allows.
+    while seated.len() < lanes {
+        match source() {
+            Some(ckt) => seated.push(ckt),
+            None => break,
+        }
+    }
+    let Some(first) = seated.first() else {
+        return Ok(0);
+    };
+    validate_spec(first.borrow(), spec)?;
+    let span = rotsv_obs::span!("transient_stream", "k" = seated.len());
+    let _ = &span;
+    let ring = rotsv_obs::events_enabled();
+    let dropped_before = ring.then(|| rotsv_obs::event_ring().dropped());
+    let mut eng = QueueEngine::new(seated, pending, spec, source, sink)?;
+    eng.run()?;
+    // First-class drop accounting: anything the ring shed during this
+    // session surfaces as a counter the agreement suite asserts to be zero.
+    if let Some(before) = dropped_before {
+        if rotsv_obs::metrics_enabled() {
+            let delta = rotsv_obs::event_ring().dropped().saturating_sub(before);
+            rotsv_obs::metrics::counter("mc.ring_dropped_events").add(delta);
+        }
+    }
+    Ok(eng.pulled)
+}
+
+/// [`transient_stream`] over a fixed population: the source iterates
+/// `ckts` and each result is stored at its die's index, so results come
+/// back in population order. `lanes == ckts.len()` is one fixed batch
+/// (no refill); `lanes == 1` is one die at a time. Per-die results are
+/// bit-identical at any lane count. Empty input returns an empty vector.
+///
+/// # Errors
+///
+/// As [`transient_stream`].
 pub fn transient_queue(
     ckts: &[&Circuit],
     lanes: usize,
     spec: &TransientSpec,
 ) -> Result<Vec<TransientResult>, SpiceError> {
-    if ckts.is_empty() {
-        return Ok(Vec::new());
-    }
-    validate_spec(ckts, spec)?;
-    let k = lanes.clamp(1, ckts.len());
-    let span = rotsv_obs::span!("transient_queue", "k" = k);
-    let _ = &span;
-    let mut eng = QueueEngine::new(Population::Borrowed(ckts), k, spec)?;
-    let ring = rotsv_obs::events_enabled();
-    let dropped_before = ring.then(|| rotsv_obs::event_ring().dropped());
-    eng.seat_initial();
-    eng.run()?;
-    // First-class drop accounting: anything the ring shed during this
-    // run surfaces as a counter the agreement suite asserts to be zero.
-    if let Some(before) = dropped_before {
-        if rotsv_obs::metrics_enabled() {
-            let delta = rotsv_obs::event_ring().dropped().saturating_sub(before);
-            rotsv_obs::metrics::counter("mc.ring_dropped_events").add(delta);
-        }
-    }
-    Ok(eng.into_results())
-}
-
-/// Open-ended streaming form of [`transient_queue`]: lanes refill from
-/// `source` instead of a fixed population, and each die's result is
-/// handed to `sink` the moment its lane retires.
-///
-/// This is the continuous-batching seam a resident screening server
-/// builds on — retired lanes pull the next admitted die mid-transient,
-/// so the engine never drains between requests that share a topology.
-/// `source` is polled **non-blockingly** at each retirement (and once
-/// up-front to top the initial batch up to `lanes`); returning `None`
-/// leaves the lane idle for the rest of the session — a server source
-/// should pop from its admission queue without waiting, and start a new
-/// engine session when more work arrives after a drain. `sink` receives
-/// `(die_index, result)` in retirement order (not population order);
-/// indices count from 0 over `initial` then each sourced circuit in
-/// pull order. Recorded waveforms are moved into the sink as dies
-/// retire, so memory stays proportional to the active lanes, not the
-/// session length. Each result's `wall_seconds` is the die's share of
-/// the super-iterations it ran in (each iteration's wall split over its
-/// busy lanes), so the dies of a session sum to the session's wall, as
-/// [`transient_queue`]'s do.
-///
-/// Per-die trajectories are bit-identical to [`transient_queue`] over
-/// the same circuits: every stepping decision
-/// is per-lane, so admission order and lane assignment are pure
-/// scheduling (see the module docs on composition independence).
-///
-/// Returns the number of dies completed and delivered to `sink`.
-///
-/// # Errors
-///
-/// As [`transient_queue`], plus [`SpiceError::InvalidCircuit`] when
-/// `source` yields a circuit whose topology differs from the first
-/// die's. With an empty `initial` the source is polled once; if it
-/// yields nothing, the call returns `Ok(0)`.
-pub fn transient_stream(
-    initial: Vec<Arc<Circuit>>,
-    lanes: usize,
-    spec: &TransientSpec,
-    source: &mut dyn FnMut() -> Option<Arc<Circuit>>,
-    sink: &mut dyn FnMut(usize, TransientResult),
-) -> Result<usize, SpiceError> {
-    let mut pop = initial;
-    if pop.is_empty() {
-        match source() {
-            Some(ckt) => pop.push(ckt),
-            None => return Ok(0),
-        }
-    }
-    // Top the batch up to the lane count before construction so the
-    // engine starts as full as the queue allows.
-    while pop.len() < lanes {
-        match source() {
-            Some(ckt) => pop.push(ckt),
-            None => break,
-        }
-    }
-    {
-        let refs: Vec<&Circuit> = pop.iter().map(|c| c.as_ref()).collect();
-        validate_spec(&refs, spec)?;
-    }
-    let k = lanes.clamp(1, pop.len());
-    let span = rotsv_obs::span!("transient_stream", "k" = k);
-    let _ = &span;
-    let ring = rotsv_obs::events_enabled();
-    let dropped_before = ring.then(|| rotsv_obs::event_ring().dropped());
-    let mut eng = QueueEngine::new(Population::Streamed(pop), k, spec)?;
-    eng.source = Some(source);
-    eng.sink = Some(sink);
-    eng.seat_initial();
-    eng.run()?;
-    if let Some(before) = dropped_before {
-        if rotsv_obs::metrics_enabled() {
-            let delta = rotsv_obs::event_ring().dropped().saturating_sub(before);
-            rotsv_obs::metrics::counter("mc.ring_dropped_events").add(delta);
-        }
-    }
-    Ok(eng.delivered)
+    let mut queue = ckts.iter().copied();
+    let mut results = vec![None; ckts.len()];
+    transient_stream(
+        Vec::new(),
+        lanes,
+        spec,
+        &mut || queue.next(),
+        &mut |die, res| {
+            results[die] = Some(res);
+        },
+    )?;
+    Ok(results
+        .into_iter()
+        .map(|r| r.expect("every queued die is delivered"))
+        .collect())
 }
 
 #[cfg(test)]
@@ -2372,14 +2282,6 @@ mod tests {
         b.add_resistor(n1, Circuit::GROUND, 1e3);
         let err = transient_queue(&[&a, &b], 2, &TransientSpec::new(1e-6, 1e-9)).unwrap_err();
         assert!(matches!(err, SpiceError::InvalidCircuit(_)));
-    }
-
-    #[test]
-    fn dcop_start_is_rejected() {
-        let (a, _) = rc_circuit(1e3, 1e-9);
-        let err =
-            transient_queue(&[&a], 1, &TransientSpec::new(1e-6, 1e-9).from_dcop()).unwrap_err();
-        assert!(matches!(err, SpiceError::InvalidSpec(_)));
     }
 
     #[test]
@@ -2569,6 +2471,81 @@ mod tests {
                 queued[die].time(),
                 "die {die} not in queue order"
             );
+        }
+    }
+
+    /// A session holds O(lanes) circuits, however many dies it runs. The
+    /// source keeps only a `Weak` to each circuit it hands out, so at
+    /// every delivery the circuits still alive are the ones the engine
+    /// holds: at most one per lane. Every 100th die still matches its
+    /// solo one-lane run bit for bit and counter for counter.
+    #[test]
+    fn stream_holds_only_its_seated_circuits() {
+        use std::cell::RefCell;
+        use std::sync::Weak;
+
+        const DIES: usize = 2_000;
+        const LANES: usize = 4;
+        let die_ckt = |i: usize| rc_circuit(0.8e3 + 10.0 * (i % 71) as f64, 1e-9).0;
+        let (_, vout) = rc_circuit(1e3, 1e-9);
+        let spec = TransientSpec::new(3e-6, 2e-9)
+            .record(&[vout])
+            .step_control(StepControl::adaptive())
+            .stop_after_rising(vout, 0.5, 1);
+        let handed_out: RefCell<Vec<Weak<Circuit>>> = RefCell::new(Vec::new());
+        let mut source = || {
+            let i = handed_out.borrow().len();
+            (i < DIES).then(|| {
+                let ckt = Arc::new(die_ckt(i));
+                handed_out.borrow_mut().push(Arc::downgrade(&ckt));
+                ckt
+            })
+        };
+        let mut analyses = 0;
+        let mut sampled = Vec::new();
+        let mut sink = |die: usize, res: TransientResult| {
+            let alive = handed_out
+                .borrow()
+                .iter()
+                .filter(|w| w.strong_count() > 0)
+                .count();
+            assert!(alive <= LANES, "die {die}: {alive} circuits alive");
+            analyses += res.stats().symbolic_analyses;
+            if die.is_multiple_of(100) {
+                sampled.push((die, res));
+            }
+        };
+        let n = transient_stream(Vec::new(), LANES, &spec, &mut source, &mut sink).unwrap();
+        assert_eq!(n, DIES);
+        assert_eq!(analyses, 1, "one analysis for the session");
+        assert_eq!(sampled.len(), DIES / 100);
+
+        let bits = |r: &TransientResult| -> Vec<u64> {
+            let w = r.waveform(vout);
+            w.time()
+                .iter()
+                .chain(w.values())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let work = |r: &TransientResult| {
+            let s = r.stats();
+            [
+                s.factorizations,
+                s.solves,
+                s.newton_iterations,
+                s.steps_accepted,
+                s.steps_rejected,
+            ]
+        };
+        for (die, streamed) in &sampled {
+            let solo = transient_queue(&[&die_ckt(*die)], 1, &spec)
+                .unwrap()
+                .remove(0);
+            assert_eq!(bits(&solo), bits(streamed), "die {die}: waveform bits");
+            assert_eq!(work(&solo), work(streamed), "die {die}: counters");
+            assert_eq!(solo.stopped_early(), streamed.stopped_early(), "die {die}");
+            assert_eq!(solo.steps_taken(), streamed.steps_taken(), "die {die}");
         }
     }
 }

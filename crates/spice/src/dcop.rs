@@ -43,8 +43,7 @@ pub struct DcSolution {
 
 impl DcSolution {
     /// Numerical-work counters of the analysis that produced this
-    /// solution. (Solutions taken from a [`crate::dcsweep`] carry zeroed
-    /// counters; the sweep aggregate lives on the sweep result.)
+    /// solution.
     pub fn stats(&self) -> SolverStats {
         self.stats
     }
@@ -73,18 +72,6 @@ impl DcSolution {
     /// The raw solution vector (node voltages then branch currents).
     pub fn as_slice(&self) -> &[f64] {
         &self.x
-    }
-
-    pub(crate) fn into_vec(self) -> Vec<f64> {
-        self.x
-    }
-
-    pub(crate) fn from_raw(x: Vec<f64>, n_nodes: usize) -> Self {
-        Self {
-            x,
-            n_nodes,
-            stats: SolverStats::default(),
-        }
     }
 }
 

@@ -16,12 +16,16 @@
 //!   time stepping ([`StepControl`]) and automatic sub-stepping on
 //!   convergence trouble ([`transient`]),
 //! * the same stepping policies per lane in a **lane-batched engine**
-//!   ([`batch`]): [`transient_queue`] streams a fixed die population
-//!   through K SIMD lanes and [`transient_stream`] refills lanes from an
-//!   open-ended source. Every ring measurement runs on it, one lane or
-//!   many; [`Circuit::transient`] remains the engine for DC-op-seeded and
-//!   other non-ring circuits and the reference the lane engine is
-//!   checked against,
+//!   ([`batch`]): [`transient_stream`] streams dies through K SIMD lanes,
+//!   refilling a retiring lane from an open-ended source, and
+//!   [`transient_queue`] is the same session over a fixed population. A
+//!   session holds one seat per lane: a die's record and counters move to
+//!   the sink when it retires and its circuit is dropped when its lane
+//!   refills, so session memory is proportional to the lanes, not to the
+//!   dies run. Every ring measurement runs on it, one lane or many;
+//!   [`Circuit::transient`] remains the engine for non-ring circuits
+//!   (all started from given initial voltages) and the reference the lane
+//!   engine is checked against,
 //! * **waveform post-processing**: threshold crossings, propagation delay
 //!   and oscillation-period extraction with sub-step interpolation
 //!   ([`waveform`]).
@@ -52,7 +56,6 @@
 pub mod batch;
 pub mod circuit;
 pub mod dcop;
-pub mod dcsweep;
 pub mod device;
 pub mod error;
 pub mod mna;
@@ -64,7 +67,6 @@ pub mod waveform;
 pub use batch::{transient_queue, transient_stream};
 pub use circuit::{Circuit, VSourceId};
 pub use dcop::{DcOpSpec, DcSolution};
-pub use dcsweep::DcSweepResult;
 pub use device::{BatchedDeviceEval, DeviceStamp, NonlinearDevice};
 pub use error::SpiceError;
 pub use node::NodeId;

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use rotsv_num::sparse::SolverStats;
 
-use crate::circuit::{Circuit, Element, VSourceId};
+use crate::circuit::{Circuit, Element};
 use crate::error::SpiceError;
 use crate::mna::{newton_solve, node_voltage, CapMode, MnaWorkspace, NewtonOpts};
 use crate::node::NodeId;
@@ -131,14 +131,8 @@ pub struct TransientSpec {
     pub method: IntegrationMethod,
     /// Nodes to record; empty records every node.
     pub record_nodes: Vec<NodeId>,
-    /// Voltage-source branch currents to record (e.g. the supply, for
-    /// IDDQ-style current signatures).
-    pub record_currents: Vec<VSourceId>,
     /// Node voltages applied at t = 0 (unlisted nodes start at 0 V).
     pub initial_voltages: Vec<(NodeId, f64)>,
-    /// If `true`, start from the DC operating point instead of the
-    /// `initial_voltages` vector.
-    pub start_from_dcop: bool,
     /// Optional early-termination condition.
     pub stop: Option<StopCondition>,
     /// Newton iteration cap per time step.
@@ -155,9 +149,7 @@ impl TransientSpec {
             step: StepControl::default(),
             method: IntegrationMethod::default(),
             record_nodes: Vec::new(),
-            record_currents: Vec::new(),
             initial_voltages: Vec::new(),
-            start_from_dcop: false,
             stop: None,
             max_newton: 40,
         }
@@ -166,12 +158,6 @@ impl TransientSpec {
     /// Restricts recording to `nodes` (reduces memory for long runs).
     pub fn record(mut self, nodes: &[NodeId]) -> Self {
         self.record_nodes = nodes.to_vec();
-        self
-    }
-
-    /// Also records the branch currents of the given voltage sources.
-    pub fn record_currents(mut self, sources: &[VSourceId]) -> Self {
-        self.record_currents = sources.to_vec();
         self
     }
 
@@ -207,12 +193,6 @@ impl TransientSpec {
         self
     }
 
-    /// Starts the run from the DC operating point.
-    pub fn from_dcop(mut self) -> Self {
-        self.start_from_dcop = true;
-        self
-    }
-
     /// Stops after `count` rising crossings of `threshold` on `node`.
     pub fn stop_after_rising(mut self, node: NodeId, threshold: f64, count: usize) -> Self {
         self.stop = Some(StopCondition::RisingCrossings {
@@ -229,7 +209,6 @@ impl TransientSpec {
 pub struct TransientResult {
     time: Vec<f64>,
     columns: BTreeMap<NodeId, Vec<f64>>,
-    current_columns: BTreeMap<usize, Vec<f64>>,
     stopped_early: bool,
     steps_taken: usize,
     stats: SolverStats,
@@ -241,7 +220,6 @@ impl TransientResult {
     pub(crate) fn from_parts(
         time: Vec<f64>,
         columns: BTreeMap<NodeId, Vec<f64>>,
-        current_columns: BTreeMap<usize, Vec<f64>>,
         stopped_early: bool,
         steps_taken: usize,
         stats: SolverStats,
@@ -249,7 +227,6 @@ impl TransientResult {
         Self {
             time,
             columns,
-            current_columns,
             stopped_early,
             steps_taken,
             stats,
@@ -303,26 +280,6 @@ impl TransientResult {
             .unwrap_or_else(|| panic!("node {node} was not recorded"))
             .last()
             .expect("transient result is empty")
-    }
-
-    /// Nodes that were recorded.
-    pub fn recorded_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.columns.keys().copied()
-    }
-
-    /// Recorded branch-current waveform of voltage source `vs` (amps,
-    /// positive flowing from the positive terminal through the source).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source's current was not recorded.
-    pub fn current_waveform(&self, vs: VSourceId) -> Waveform {
-        let values = self
-            .current_columns
-            .get(&vs.0)
-            .unwrap_or_else(|| panic!("current of source {} was not recorded", vs.0))
-            .clone();
-        Waveform::new(self.time.clone(), values)
     }
 }
 
@@ -380,29 +337,13 @@ impl Circuit {
         }
 
         // Initial solution vector.
-        let mut dc_stats = SolverStats::default();
-        let mut x = if spec.start_from_dcop {
-            let sol = self.dcop(&crate::dcop::DcOpSpec {
-                initial_voltages: spec.initial_voltages.clone(),
-                ..Default::default()
-            })?;
-            dc_stats = sol.stats();
-            sol.into_vec()
-        } else {
-            let mut x0 = vec![0.0; self.unknown_count()];
-            for &(node, v) in &spec.initial_voltages {
-                if !node.is_ground() {
-                    x0[node.index() - 1] = v;
-                }
+        let mut x = vec![0.0; self.unknown_count()];
+        for &(node, v) in &spec.initial_voltages {
+            if !node.is_ground() {
+                x[node.index() - 1] = v;
             }
-            x0
-        };
+        }
 
-        // Wall-clock accounting starts *after* the seeding dcop: that
-        // analysis stamped its own wall time into `dc_stats`, which the
-        // final `merge` adds back, so every second of the run is counted
-        // exactly once and merged totals stay comparable to an enclosing
-        // span's wall time.
         let wall_start = Instant::now();
         let (newton_hist, lte_hist) = if rotsv_obs::metrics_enabled() {
             (
@@ -443,27 +384,16 @@ impl Circuit {
         };
         let mut columns: BTreeMap<NodeId, Vec<f64>> =
             record_nodes.iter().map(|&n| (n, Vec::new())).collect();
-        let mut current_columns: BTreeMap<usize, Vec<f64>> = spec
-            .record_currents
-            .iter()
-            .map(|vs| (vs.0, Vec::new()))
-            .collect();
         let n_node_unknowns = self.node_count() - 1;
         let mut time = Vec::new();
-        let record = |t: f64,
-                      x: &[f64],
-                      time: &mut Vec<f64>,
-                      columns: &mut BTreeMap<NodeId, Vec<f64>>,
-                      currents: &mut BTreeMap<usize, Vec<f64>>| {
-            time.push(t);
-            for (&node, col) in columns.iter_mut() {
-                col.push(node_voltage(x, node));
-            }
-            for (&branch, col) in currents.iter_mut() {
-                col.push(x[n_node_unknowns + branch]);
-            }
-        };
-        record(0.0, &x, &mut time, &mut columns, &mut current_columns);
+        let record =
+            |t: f64, x: &[f64], time: &mut Vec<f64>, columns: &mut BTreeMap<NodeId, Vec<f64>>| {
+                time.push(t);
+                for (&node, col) in columns.iter_mut() {
+                    col.push(node_voltage(x, node));
+                }
+            };
+        record(0.0, &x, &mut time, &mut columns);
 
         // Stop-condition tracking.
         let mut crossings_seen = 0usize;
@@ -594,7 +524,7 @@ impl Circuit {
                             (ws.stats.newton_iterations - newton_before) as u32,
                             dt_try,
                         );
-                        record(t, &x, &mut time, &mut columns, &mut current_columns);
+                        record(t, &x, &mut time, &mut columns);
                         if let Some(StopCondition::RisingCrossings {
                             node,
                             threshold,
@@ -644,15 +574,10 @@ impl Circuit {
         }
 
         let mut stats = ws.stats;
-        // Stamp the loop-exclusive wall first, then merge the seeding
-        // dcop's counters (including its wall) — the sum equals the
-        // analysis total without double-counting the dcop.
         stats.wall_seconds = wall_start.elapsed().as_secs_f64();
-        stats.merge(&dc_stats);
         Ok(TransientResult {
             time,
             columns,
-            current_columns,
             stopped_early,
             steps_taken: steps,
             stats,
@@ -772,51 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn start_from_dcop_holds_steady_state() {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let vout = ckt.node("out");
-        ckt.add_vsource(vin, Circuit::GROUND, SourceWaveform::dc(1.0));
-        ckt.add_resistor(vin, vout, 1e3);
-        ckt.add_capacitor(vout, Circuit::GROUND, 1e-9);
-        let spec = TransientSpec::new(1e-6, 1e-9).record(&[vout]).from_dcop();
-        let res = ckt.transient(&spec).unwrap();
-        let w = res.waveform(vout);
-        // Already at steady state: stays at 1 V throughout.
-        assert!(w.values().iter().all(|v| (v - 1.0).abs() < 1e-6));
-    }
-
-    /// Regression test for wall-time accounting when a dcop seeds a
-    /// transient: the merged `wall_seconds` (dcop + stepping loop) must
-    /// track the wall time of the whole analysis — neither counting the
-    /// dcop twice (merge after an all-inclusive stamp) nor dropping it
-    /// (stamp after merge overwrites the dcop's share).
-    #[test]
-    fn dcop_seeded_wall_time_matches_outer_wall() {
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let vout = ckt.node("out");
-        ckt.add_vsource(vin, Circuit::GROUND, SourceWaveform::dc(1.0));
-        ckt.add_resistor(vin, vout, 1e3);
-        ckt.add_capacitor(vout, Circuit::GROUND, 1e-9);
-        // Enough fixed steps that the loop dominates scheduling noise.
-        let spec = TransientSpec::new(2e-5, 1e-9).record(&[vout]).from_dcop();
-        let outer = Instant::now();
-        let res = ckt.transient(&spec).unwrap();
-        let outer = outer.elapsed().as_secs_f64();
-        let merged = res.stats().wall_seconds;
-        assert!(merged > 0.0, "wall time recorded");
-        assert!(
-            merged <= outer * 1.10 + 2e-3,
-            "merged wall {merged} s exceeds outer wall {outer} s: dcop counted twice?"
-        );
-        assert!(
-            merged >= outer * 0.5,
-            "merged wall {merged} s far below outer wall {outer} s: a phase was dropped?"
-        );
-    }
-
-    #[test]
     fn invalid_dt_is_rejected() {
         let ckt = Circuit::new();
         let err = ckt.transient(&TransientSpec::new(1e-6, 0.0)).unwrap_err();
@@ -845,26 +725,6 @@ mod tests {
         let res = ckt.transient(&spec).unwrap();
         let v_end = res.final_voltage(vout);
         assert!((0.5..0.9).contains(&v_end), "clamped at {v_end}");
-    }
-
-    #[test]
-    fn supply_current_is_recorded() {
-        // DC source across a resistor: constant branch current -V/R.
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let vs = ckt.add_vsource(a, Circuit::GROUND, SourceWaveform::dc(2.0));
-        ckt.add_resistor(a, Circuit::GROUND, 1e3);
-        let spec = TransientSpec::new(1e-8, 1e-9)
-            .record(&[a])
-            .record_currents(&[vs]);
-        let res = ckt.transient(&spec).unwrap();
-        let i = res.current_waveform(vs);
-        // pos->through-source convention: current is -2 mA.
-        assert!(
-            (i.final_value() + 2e-3).abs() < 1e-8,
-            "i = {}",
-            i.final_value()
-        );
     }
 
     #[test]
