@@ -54,6 +54,14 @@ run_smoke() {
   fi
 }
 
+# Prints one line per shape check of an experiments report on stdin:
+# the experiment id, the check's index within its experiment, and its
+# ✅/❌ verdict. Checks are keyed by index because their descriptions
+# carry measured numbers.
+verdicts() {
+  awk '/^## /{id=$2; n=0} /^- (✅|❌)/{n++; print id, n, $2}'
+}
+
 lint_stage() {
   echo "==> cargo fmt --check"
   cargo fmt --all -- --check
@@ -154,6 +162,17 @@ gate_stage() {
   run_smoke ./target/release/experiments e3 --fast \
     --trace-out "$artifacts/trace_e3.json" --out "$artifacts/mc-trace" >/dev/null
   ./target/release/experiments validate-trace "$artifacts/trace_e3.json"
+
+  # Claim gate: every experiment at fast fidelity must reach exactly the
+  # committed verdict on each of the paper's shape checks. The two ❌ in
+  # ci/fast-verdicts.txt are effects of the reduced MC size (e3's
+  # aliasing check at the highest V_DD, e5's separation ordering); a
+  # check flipping either way fails here.
+  echo "==> fast-fidelity claim verdicts (experiments all --fast vs ci/fast-verdicts.txt)"
+  run_smoke ./target/release/experiments all --fast --out "$artifacts/all-fast" \
+    > "$artifacts/all-fast-out.txt"
+  verdicts < "$artifacts/all-fast-out.txt" > "$artifacts/fast-verdicts.txt"
+  diff ci/fast-verdicts.txt "$artifacts/fast-verdicts.txt"
 
   echo "==> MC engine agreement (every engine, bit for bit)"
   cargo test -q -p rotsv --release --test batched_engine

@@ -15,11 +15,11 @@
 //!
 //! Accuracy: identical formulation to [`MosParams::ids_with_grad`], with
 //! the `lanes` elementary functions in place of `libm` — a few ulp of
-//! relative difference, orders of magnitude inside the batched engine's
-//! 0.5 % agreement budget against the scalar engine. Across its own
-//! dispatch arms the bank is *bit*-identical: every arm performs the
-//! same IEEE-exact operations in the same association order, with
-//! select-form conditionals and no fused multiply-adds.
+//! relative difference, orders of magnitude below the Newton
+//! tolerances. Across its own dispatch arms the bank is *bit*-identical:
+//! every arm performs the same IEEE-exact operations in the same
+//! association order, with select-form conditionals and no fused
+//! multiply-adds.
 
 use rotsv_num::lanes;
 use rotsv_num::simd::{ScalarLanes, Simd};

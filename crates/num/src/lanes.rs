@@ -9,9 +9,9 @@
 //! lowers to vector blends).
 //!
 //! Accuracy is a few ulp worse than `libm` (relative error ≲ 1e-14 over
-//! the simulator's operating range), far inside the batched engine's
-//! 0.5 % agreement budget against the scalar engine — which keeps using
-//! `libm` and is the batched engine's test oracle.
+//! the simulator's operating range), orders of magnitude below the
+//! Newton tolerances. The scalar device evaluation (the DC operating
+//! point's) keeps using `libm` and is the lane kernels' test reference.
 //!
 //! Three forms of each function coexist, all bit-identical per lane:
 //! the scalar reference (`exp`), the const-K array form (`exp_k`, the

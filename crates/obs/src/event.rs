@@ -72,9 +72,9 @@ pub enum EventKind {
     /// A lane was refilled with a queued die mid-run; operands as in
     /// [`EventKind::LaneSeat`].
     LaneRefill = 4,
-    /// A transient step was accepted; `a` = session and lane (or
-    /// `LANE_NONE` for the scalar engine), `b` = Newton iterations
-    /// spent, `value` = accepted dt in seconds.
+    /// A transient step was accepted; `a` = session and lane
+    /// ([`lane_operand`]), `b` = Newton iterations spent, `value` =
+    /// accepted dt in seconds.
     StepAccepted = 5,
     /// Pivot growth invalidated a cached analysis and forced a fresh
     /// symbolic pass; `a` = session and lane, `b` = analyses performed.
@@ -101,9 +101,6 @@ impl EventKind {
     }
 }
 
-/// Lane operand for events not tied to a batched lane (scalar engine).
-pub const LANE_NONE: u32 = OPERAND_MASK;
-
 /// Operands are stored in 28 bits each (values are truncated); plenty
 /// for lane, die, path and thread ids.
 const OPERAND_MASK: u32 = (1 << 28) - 1;
@@ -112,8 +109,8 @@ const OPERAND_MASK: u32 = (1 << 28) - 1;
 /// engine session.
 const LANE_BITS: u32 = 12;
 
-/// Session ids cycle below this, so no packed operand equals
-/// [`LANE_NONE`].
+/// Session ids cycle below this, so a packed operand fits the 28-bit
+/// operand.
 const SESSION_CYCLE: u32 = OPERAND_MASK >> LANE_BITS;
 
 /// A fresh id for one batched-engine session. Ids are unique among the
@@ -368,11 +365,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_operands_round_trip_and_never_collide_with_lane_none() {
+    fn lane_operands_round_trip() {
         for (session, lane) in [(0, 0), (7, 31), (SESSION_CYCLE - 1, 4095)] {
             let a = lane_operand(session, lane);
             assert_eq!(a & OPERAND_MASK, a, "fits the 28-bit operand");
-            assert_ne!(a, LANE_NONE);
             assert_eq!(split_lane_operand(a), (session, lane as u32));
         }
         assert_ne!(next_session(), next_session());

@@ -56,7 +56,7 @@ pub mod trace;
 pub use digest::{fnv1a_64, json_digest};
 pub use event::{
     event_ring, events_enabled, lane_operand, next_session, record_event, reset_events, set_events,
-    Event, EventKind, EventRing, LANE_NONE,
+    Event, EventKind, EventRing,
 };
 pub use json::Json;
 pub use manifest::{build_manifest, git_rev, validate_manifest, ManifestInputs, SCHEMA_VERSION};

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use crate::event::{event_ring, lane_operand, split_lane_operand, Event, EventKind, LANE_NONE};
+use crate::event::{event_ring, lane_operand, split_lane_operand, Event, EventKind};
 use crate::json::Json;
 use crate::span;
 
@@ -133,8 +133,8 @@ fn session_of(e: &Event) -> Option<u32> {
         EventKind::LaneSeat
         | EventKind::LaneRetire
         | EventKind::LaneRefill
+        | EventKind::StepAccepted
         | EventKind::Reanalysis => Some(split_lane_operand(e.a).0),
-        EventKind::StepAccepted if e.a != LANE_NONE => Some(split_lane_operand(e.a).0),
         EventKind::Occupancy => Some(split_lane_operand(e.b).0),
         _ => None,
     }
@@ -282,11 +282,9 @@ pub fn render_chrome_trace() -> Json {
                 out.push(busy_counter(track, e.t_ns, 0.0));
             }
             EventKind::StepAccepted => {
-                if e.a != LANE_NONE {
-                    if let Some(open) = open_lanes.get_mut(&e.a) {
-                        open.steps += 1;
-                        open.newton_iters += u64::from(e.b);
-                    }
+                if let Some(open) = open_lanes.get_mut(&e.a) {
+                    open.steps += 1;
+                    open.newton_iters += u64::from(e.b);
                 }
             }
             EventKind::Reanalysis => {

@@ -599,28 +599,30 @@ mod tests {
         assert!(rel < 0.01, "bypassed fault changed period by {rel}");
     }
 
-    /// The lane engine's oracle: a one-lane ring measurement agrees with
-    /// the scalar [`Circuit::transient`] on the same circuit to well
-    /// under 0.5 % (the two engines assemble in a different association
-    /// order), and classifies a stuck ring the same way.
+    /// The adaptive grid against the fixed grid on three leakage rings:
+    /// the periods agree within 0.5 %, and the 300 Ω ring is stuck on
+    /// both grids.
     #[test]
-    fn batched_measure_matches_scalar() {
+    fn adaptive_grid_matches_fixed_grid() {
         let opts = MeasureOpts::fast();
         for r in [300.0, 2000.0, 8000.0] {
             let config = RoConfig::new(1, 1.1)
                 .enable_only(&[0])
                 .with_fault(0, TsvFault::Leakage { r: Ohms(r) });
             let ro = RingOscillator::build(&config, &mut Nominal);
-            let lane = ro.measure(&opts).unwrap();
-            let res = ro.circuit().transient(&ro.measure_spec(&opts)).unwrap();
-            let (scalar, _) = extract_outcome(&res, ro.probe, ro.vdd, &opts);
-            match (lane.period(), scalar.period()) {
-                (Some(t_l), Some(t_s)) => {
-                    let rel = (t_l - t_s).abs() / t_s;
-                    assert!(rel < 5e-3, "{r} Ω: lane {t_l} vs scalar {t_s} (rel {rel})");
+            let adaptive = ro.measure(&opts).unwrap();
+            let fixed = ro.measure(&opts.fixed_step()).unwrap();
+            match (adaptive.period(), fixed.period()) {
+                (Some(t_a), Some(t_f)) => {
+                    assert_ne!(r, 300.0, "the 300 Ω ring must stick");
+                    let rel = (t_a - t_f).abs() / t_f;
+                    assert!(
+                        rel < 5e-3,
+                        "{r} Ω: adaptive {t_a} vs fixed {t_f} (rel {rel})"
+                    );
                 }
                 (None, None) => assert_eq!(r, 300.0, "only the 300 Ω ring sticks"),
-                (l, s) => panic!("{r} Ω: lane {l:?} vs scalar {s:?} disagree on stuck"),
+                (a, f) => panic!("{r} Ω: adaptive {a:?} vs fixed {f:?} disagree on stuck"),
             }
         }
     }

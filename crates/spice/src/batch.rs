@@ -1,10 +1,11 @@
 //! Lane-batched transient analysis: a die queue streamed through K
-//! asynchronous SIMD lanes.
+//! asynchronous SIMD lanes. This is the simulator's one transient
+//! stepping loop; [`Circuit::transient`] is a one-lane session of it.
 //!
 //! A Monte-Carlo population simulates hundreds of dies that share one
 //! netlist and differ only in element *values* (process variation
-//! perturbs threshold voltages and geometries, never connectivity). The
-//! scalar engine pays the full per-transient cost per die; this module
+//! perturbs threshold voltages and geometries, never connectivity).
+//! Rather than pay the full per-transient cost per die, this module
 //! amortizes everything that depends on topology alone across K lanes:
 //!
 //! * **one** symbolic LU analysis and pivot order for the whole queue
@@ -31,13 +32,14 @@
 //! time grid, `dt = min` over lane proposals), lanes here are
 //! **asynchronous**: the lockstep unit is one Newton *iteration*, not one
 //! time step. Every lane carries its own clock, step size, Newton state,
-//! integration history and factorization-staleness budget, and follows
-//! the scalar engine's policies *per lane* — same Newton delta form,
-//! damping, stall/staleness refresh, LTE test and step bounds, applied to
-//! that lane alone. Each super-iteration assembles all lanes at their own
-//! `(x, t)` trial points, performs one vectorized residual + solve, and
-//! retires/advances lanes individually. Because every per-lane decision
-//! depends only on that lane's values, **a die's trajectory is
+//! integration history and factorization-staleness budget, and applies
+//! the stepping policies to that lane alone: the Newton delta form,
+//! damping and stall/staleness refresh of [`crate::mna`], and the LTE
+//! test and step bounds of [`crate::transient`]. Each super-iteration
+//! assembles all lanes at their own `(x, t)` trial points, performs one
+//! vectorized residual + solve, and retires/advances lanes
+//! individually. Because every per-lane decision depends only on that
+//! lane's values, **a die's trajectory is
 //! bit-identical regardless of lane count, lane index, or which dies ride
 //! alongside it** — the property the refill scheduler and the
 //! chunked-vs-streamed cross-checks rely on.
@@ -76,8 +78,7 @@
 //! reports this) and co-resident lanes get freshly factored — their
 //! Newton iterations remain correct (the delta formulation tolerates any
 //! factorization) but their trajectories may then differ from a solo run.
-//! This never happens on the workloads in this repository and the scalar
-//! engine has the same per-die fallback.
+//! This never happens on the workloads in this repository.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -232,7 +233,7 @@ struct BatchWorkspace {
     values: Vec<f64>,
     /// `n * k` lane-interleaved right-hand side.
     b: Vec<f64>,
-    /// CSR value-slot replay sequence, identical to the scalar engine's.
+    /// CSR value-slot replay sequence, identical to the DC assembly's.
     slots: Vec<usize>,
     elems: Vec<BatchElem>,
     devices: Vec<BatchDevice>,
@@ -507,8 +508,8 @@ impl BatchWorkspace {
         }
     }
 
-    /// Stamps a two-terminal conductance (per-lane values `g`) following
-    /// the scalar engine's slot order; returns the advanced cursor.
+    /// Stamps a two-terminal conductance (per-lane values `g`) in the
+    /// [`stamp_coords`] slot order; returns the advanced cursor.
     fn stamp_conductance(&mut self, mut cursor: usize, a: NodeId, b: NodeId, g: &[f64]) -> usize {
         let k = self.k;
         match (row_of(a), row_of(b)) {
@@ -986,8 +987,8 @@ impl BatchWorkspace {
         dev.eval(seated, elem_idx, k, vbuf, cbuf, jbuf);
         let live = dev.kind.live_rows();
         let row_slots = dev.nodes.iter().filter(|&&n| row_of(n).is_some()).count();
-        // Norton linearization, lane loops innermost (see the scalar
-        // engine for the formulation).
+        // Norton linearization, lane loops innermost: stamp G on the LHS
+        // and (G·v0 − I0) on the RHS.
         for (ti, &nk_node) in dev.nodes.iter().enumerate() {
             let Some(rk) = row_of(nk_node) else { continue };
             if !row_live(live, ti) {
@@ -1026,8 +1027,8 @@ impl BatchWorkspace {
     /// (Re)factors the lanes whose refresh policy fired (`want`),
     /// per-lane: each wanted lane whose values changed since its last
     /// factorization is swept individually (bit-identical to any other
-    /// lane composition), unchanged lanes keep their factors (the scalar
-    /// skip-if-unchanged, applied per lane).
+    /// lane composition), unchanged lanes keep their factors
+    /// (skip-if-unchanged, applied per lane).
     ///
     /// Counter attribution keeps population sums meaningful: a symbolic
     /// analysis is charged once, to the die in the lane that triggered it
@@ -1180,8 +1181,8 @@ enum Outcome {
     Failed,
 }
 
-/// The scalar transient-stepping state of one lane, advanced per lane
-/// with exactly the scalar engine's policies.
+/// The transient-stepping state of one lane: the die's own clock, step
+/// control, Newton progress and stop tracking.
 #[derive(Clone, Copy)]
 struct LaneState {
     busy: bool,
@@ -1547,8 +1548,6 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
         let occupancy_hist =
             rotsv_obs::metrics_enabled().then(|| rotsv_obs::histogram("mc.batch_occupancy"));
         let drag_hist = rotsv_obs::metrics_enabled().then(|| rotsv_obs::histogram("mc.dt_drag"));
-        // Same per-accepted-step observations the scalar transient makes,
-        // so manifests keep these histograms regardless of engine choice.
         let newton_hist = rotsv_obs::metrics_enabled()
             .then(|| rotsv_obs::histogram("transient.newton_iters_per_step"));
         let lte_hist = rotsv_obs::metrics_enabled()
@@ -1609,8 +1608,8 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                     self.companions.geq[idx] = geq;
                     self.companions.ieq[idx] = ieq;
                 }
-                // Linear extrapolation start (the scalar predictor),
-                // else restart from the last accepted solution.
+                // Newton starts from the LTE predictor's extrapolation,
+                // else from the last accepted solution.
                 if ls.has_hist && ls.steps >= 2 {
                     let scale = ls.dt_try / ls.dt_prev;
                     for i in 0..n {
@@ -1655,8 +1654,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                 }
             }
             stages.lap(Stage::Solve);
-            // Per-lane refresh policy, exactly the scalar rules applied
-            // to each lane's own state.
+            // Per-lane refresh policy, applied to each lane's own state.
             for lane in 0..k {
                 want[lane] = false;
                 if !busy[lane] {
@@ -1831,8 +1829,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                         }
                         if let Some(h) = &newton_hist {
                             // `iter` counts the non-converging iterations of
-                            // this attempt; the converging one makes +1,
-                            // matching the scalar engine's per-solve count.
+                            // this attempt; the converging one makes +1.
                             h.observe((ls.iter + 1) as f64);
                         }
                         if let Some(h) = &lte_hist {
@@ -1904,7 +1901,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                                 return Err(SpiceError::NoConvergence {
                                     analysis: "transient_stream",
                                     time: ls.t_next,
-                                    iterations: opts.max_iterations,
+                                    iterations: ls.iter,
                                 });
                             }
                             ls.dt_try = (ls.dt_try * 0.5).max(dt_min);
@@ -1914,7 +1911,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                                 return Err(SpiceError::NoConvergence {
                                     analysis: "transient_stream",
                                     time: ls.t_next,
-                                    iterations: opts.max_iterations,
+                                    iterations: ls.iter,
                                 });
                             }
                             ls.dt_try *= 0.5;
@@ -2042,10 +2039,10 @@ fn validate_spec(ckt: &Circuit, spec: &TransientSpec) -> Result<(), SpiceError> 
 /// dropped when its lane refills (or the session ends). Memory is thus
 /// proportional to the lanes, not to the session length.
 ///
-/// Each die's trajectory follows the scalar stepping policies
-/// independently, so the per-die results are **bit-identical** at any
-/// lane count, admission order and lane assignment — refill is pure
-/// scheduling (see the module docs on composition independence). All
+/// Each die's trajectory follows the stepping policies independently,
+/// so the per-die results are **bit-identical** at any lane count,
+/// admission order and lane assignment — refill is pure scheduling
+/// (see the module docs on composition independence). All
 /// lanes share `spec` (grid, stop condition, recorded nodes); lanes
 /// differ through their circuits' element values. Per-die
 /// [`SolverStats`] charge each symbolic analysis to the die whose lane
@@ -2058,10 +2055,12 @@ fn validate_spec(ckt: &Circuit, spec: &TransientSpec) -> Result<(), SpiceError> 
 /// # Errors
 ///
 /// Returns [`SpiceError::InvalidCircuit`] when a die's topology differs
-/// from the first die's, [`SpiceError::InvalidSpec`] for a bad grid, and
-/// the scalar engine's convergence/singularity errors otherwise; an
-/// unrecoverable lane (Newton failure at the minimum step, singular
-/// system) aborts the whole session.
+/// from the first die's or an initial voltage names a node the circuit
+/// lacks, [`SpiceError::InvalidSpec`] for a bad grid or step control,
+/// [`SpiceError::NoConvergence`] (carrying the failing attempt's Newton
+/// iterations) when a lane fails at its smallest step, and
+/// [`SpiceError::SingularSystem`]; an unrecoverable lane aborts the
+/// whole session.
 pub fn transient_stream<C: Borrow<Circuit>>(
     initial: Vec<C>,
     lanes: usize,
@@ -2148,44 +2147,50 @@ mod tests {
         (ckt, vout)
     }
 
+    /// Three RC lanes with different time constants on a fixed grid:
+    /// every sample of every lane follows the closed form
+    /// `1 − exp(−t/RC)`.
     #[test]
-    fn batched_rc_matches_scalar_per_lane() {
-        // Three RC lanes with different time constants; fixed grid so the
-        // scalar and batched runs share every time point exactly.
+    fn batched_rc_matches_closed_form_per_lane() {
         let lanes = [(1e3, 1e-9), (1.3e3, 1e-9), (1e3, 0.7e-9)];
         let built: Vec<(Circuit, NodeId)> = lanes.iter().map(|&(r, c)| rc_circuit(r, c)).collect();
         let ckts: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
-        let spec = TransientSpec::new(3e-6, 2e-9).record(&[built[0].1]);
+        let vout = built[0].1;
+        let spec = TransientSpec::new(3e-6, 2e-9).record(&[vout]);
         let batched = transient_queue(&ckts, ckts.len(), &spec).unwrap();
         assert_eq!(batched.len(), 3);
-        for ((ckt, vout), res) in built.iter().zip(&batched) {
-            let scalar = ckt.transient(&spec).unwrap();
-            let wb = res.waveform(*vout);
-            let ws = scalar.waveform(*vout);
-            assert_eq!(wb.time().len(), ws.time().len());
-            for (a, b) in wb.values().iter().zip(ws.values()) {
-                assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        for (&(r, c), res) in lanes.iter().zip(&batched) {
+            let w = res.waveform(vout);
+            assert_eq!(w.time().len(), 1501, "R = {r}: 3 µs on the 2 ns grid");
+            for (&t, &v) in w.time().iter().zip(w.values()) {
+                let expect = 1.0 - (-t / (r * c)).exp();
+                assert!(
+                    (v - expect).abs() < 5e-5,
+                    "R = {r}, C = {c}, t = {t}: {v} vs {expect}"
+                );
             }
         }
     }
 
+    /// Identical lanes under adaptive stepping: every lane stays within
+    /// 1e-3 of the closed form at 0.5, 1 and 2 τ.
     #[test]
-    fn batched_adaptive_tracks_scalar_within_tolerance() {
-        // Identical lanes under adaptive stepping: every lane must agree
-        // with the scalar adaptive run to interpolation accuracy.
-        let (ckt, vout) = rc_circuit(1e3, 1e-9);
+    fn batched_adaptive_tracks_closed_form_within_tolerance() {
+        let (ckt, vout) = rc_circuit(1e3, 1e-9); // τ = 1 µs
         let ckts = [&ckt, &ckt];
         let spec = TransientSpec::new(3e-6, 2e-9)
             .record(&[vout])
             .step_control(StepControl::adaptive());
         let batched = transient_queue(&ckts, ckts.len(), &spec).unwrap();
-        let scalar = ckt.transient(&spec).unwrap();
         for res in &batched {
             let wb = res.waveform(vout);
             for frac in [0.5f64, 1.0, 2.0] {
-                let t = frac * 1e-6;
-                let expect = scalar.waveform(vout).value_at(t);
-                assert!((wb.value_at(t) - expect).abs() < 1e-3);
+                let expect = 1.0 - (-frac).exp();
+                let got = wb.value_at(frac * 1e-6);
+                assert!(
+                    (got - expect).abs() < 1e-3,
+                    "at {frac} τ: {got} vs {expect}"
+                );
             }
         }
     }
@@ -2217,10 +2222,17 @@ mod tests {
     /// A device type with no bank takes the per-lane fallback, whose
     /// rows are all live. Its dies must run bit-identically at one lane,
     /// at three (a SIMD-body arm) and at nine (the dyn-K body), and each
-    /// must agree with `Circuit::transient` within 0.5 %.
+    /// must settle where KCL holds at the clamped node.
     #[test]
     fn per_lane_fallback_device_is_lane_count_invariant() {
         use crate::device::test_devices::Diode;
+        const V_T: f64 = 0.02585;
+        let die_params = |i: u32| {
+            (
+                1e3 + 150.0 * f64::from(i),
+                1e-14 * (1.0 + 0.2 * f64::from(i)),
+            )
+        };
         let clamped_rc = |r: f64, i_sat: f64| {
             let mut ckt = Circuit::new();
             let vin = ckt.node("in");
@@ -2231,16 +2243,14 @@ mod tests {
             ckt.add_device(Box::new(Diode {
                 nodes: [vout, Circuit::GROUND],
                 i_sat,
-                v_t: 0.02585,
+                v_t: V_T,
             }));
             (ckt, vout)
         };
         let built: Vec<(Circuit, NodeId)> = (0..9)
             .map(|i| {
-                clamped_rc(
-                    1e3 + 150.0 * f64::from(i),
-                    1e-14 * (1.0 + 0.2 * f64::from(i)),
-                )
+                let (r, i_sat) = die_params(i);
+                clamped_rc(r, i_sat)
             })
             .collect();
         let ckts: Vec<&Circuit> = built.iter().map(|(c, _)| c).collect();
@@ -2262,15 +2272,56 @@ mod tests {
                 assert_eq!(a.stats().newton_iterations, b.stats().newton_iterations);
             }
         }
-        for (die, ((ckt, _), lane)) in built.iter().zip(&one).enumerate() {
-            let scalar = ckt.transient(&spec).unwrap();
-            let (ws, wl) = (scalar.waveform(vout), lane.waveform(vout));
-            assert_eq!(ws.time().len(), wl.time().len(), "die {die}: grid");
-            let swing = ws.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            assert!((0.5..0.9).contains(&ws.final_value()), "die {die} clamps");
-            for (a, b) in wl.values().iter().zip(ws.values()) {
-                assert!((a - b).abs() <= 0.005 * swing, "die {die}: {a} vs {b}");
+        // After 20 ns (the clamped node settles within a nanosecond) the
+        // capacitor carries no current: the resistor feeds the diode,
+        // (5 − v)/R = I_s (exp(v/V_T) − 1).
+        for (die, lane) in (0..).zip(&one) {
+            let (r, i_sat) = die_params(die);
+            let v = lane.final_voltage(vout);
+            assert!((0.5..0.9).contains(&v), "die {die} clamps at {v}");
+            let i_r = (5.0 - v) / r;
+            let i_d = i_sat * ((v / V_T).exp() - 1.0);
+            assert!(
+                (i_r - i_d).abs() <= 1e-6 * i_r,
+                "die {die}: KCL {i_r} A in vs {i_d} A out"
+            );
+        }
+    }
+
+    /// A failed run reports the Newton iterations of its last attempt,
+    /// not the budget: a device whose current is NaN makes every
+    /// attempt's first update non-finite, so the error carries
+    /// `iterations == 0` on either step control.
+    #[test]
+    fn non_finite_update_reports_its_own_iteration_count() {
+        #[derive(Debug)]
+        struct NanCurrent {
+            nodes: [NodeId; 2],
+        }
+        impl NonlinearDevice for NanCurrent {
+            fn nodes(&self) -> &[NodeId] {
+                &self.nodes
             }
+            fn eval(&self, _v: &[f64], stamp: &mut DeviceStamp) {
+                stamp.current[0] = f64::NAN;
+                stamp.current[1] = f64::NAN;
+                stamp.jacobian[(0, 0)] = 1e-3;
+                stamp.jacobian[(0, 1)] = -1e-3;
+                stamp.jacobian[(1, 0)] = -1e-3;
+                stamp.jacobian[(1, 1)] = 1e-3;
+            }
+        }
+        let (mut ckt, vout) = rc_circuit(1e3, 1e-9);
+        ckt.add_device(Box::new(NanCurrent {
+            nodes: [vout, Circuit::GROUND],
+        }));
+        for step in [StepControl::Fixed, StepControl::adaptive()] {
+            let spec = TransientSpec::new(1e-6, 1e-9).step_control(step);
+            let err = transient_queue(&[&ckt], 1, &spec).unwrap_err();
+            assert!(
+                matches!(err, SpiceError::NoConvergence { iterations: 0, .. }),
+                "{step:?}: {err:?}"
+            );
         }
     }
 

@@ -11,7 +11,7 @@ use rotsv_num::sparse::SolverStats;
 
 use crate::circuit::{Circuit, VSourceId};
 use crate::error::SpiceError;
-use crate::mna::{newton_solve, node_voltage, CapMode, MnaWorkspace, NewtonOpts};
+use crate::mna::{newton_solve, node_voltage, MnaWorkspace, NewtonOpts};
 use crate::node::NodeId;
 
 /// Options for the DC operating-point analysis.
@@ -95,15 +95,8 @@ impl Circuit {
         let _span = rotsv_obs::span!("dcop");
         let wall_start = Instant::now();
         let mut ws = MnaWorkspace::new(self);
-        // DC solves start far from the solution (zero vector, homotopy
-        // ramps), where a stale Jacobian can cycle instead of converge.
-        // Full Newton here costs nothing measurable — DC is a negligible
-        // slice of every experiment — and matches the robustness of the
-        // dense engine this replaced. Linear circuits still factor once
-        // thanks to the unchanged-values skip in the workspace.
         let opts = NewtonOpts {
             max_iterations: spec.max_iterations,
-            max_stale: 0,
             ..NewtonOpts::default()
         };
         let mut x0 = vec![0.0; self.unknown_count()];
@@ -114,16 +107,7 @@ impl Circuit {
         }
 
         // 1. Plain Newton.
-        match newton_solve(
-            &mut ws,
-            self,
-            x0.clone(),
-            0.0,
-            1.0,
-            self.gmin(),
-            CapMode::Open,
-            &opts,
-        ) {
+        match newton_solve(&mut ws, self, x0.clone(), 1.0, self.gmin(), &opts) {
             Ok(x) => return Ok(finish(x, self.node_count(), &ws, wall_start)),
             Err(fail) => {
                 if let Some(err @ SpiceError::SingularSystem { .. }) = fail.error {
@@ -137,7 +121,7 @@ impl Circuit {
         let mut ok = true;
         let mut g = 1e-2;
         while g >= self.gmin() {
-            match newton_solve(&mut ws, self, x.clone(), 0.0, 1.0, g, CapMode::Open, &opts) {
+            match newton_solve(&mut ws, self, x.clone(), 1.0, g, &opts) {
                 Ok(sol) => x = sol,
                 Err(_) => {
                     ok = false;
@@ -147,16 +131,7 @@ impl Circuit {
             g /= 10.0;
         }
         if ok {
-            if let Ok(sol) = newton_solve(
-                &mut ws,
-                self,
-                x.clone(),
-                0.0,
-                1.0,
-                self.gmin(),
-                CapMode::Open,
-                &opts,
-            ) {
+            if let Ok(sol) = newton_solve(&mut ws, self, x.clone(), 1.0, self.gmin(), &opts) {
                 return Ok(finish(sol, self.node_count(), &ws, wall_start));
             }
         }
@@ -170,16 +145,7 @@ impl Circuit {
         const MIN_STEP: f64 = 1e-5;
         while alpha < 1.0 {
             let target = (alpha + step).min(1.0);
-            match newton_solve(
-                &mut ws,
-                self,
-                x.clone(),
-                0.0,
-                target,
-                self.gmin(),
-                CapMode::Open,
-                &opts,
-            ) {
+            match newton_solve(&mut ws, self, x.clone(), target, self.gmin(), &opts) {
                 Ok(sol) => {
                     x = sol;
                     alpha = target;

@@ -11,11 +11,11 @@ use rotsv_num::parallel::WorkerPanic;
 pub enum SpiceError {
     /// The Newton iteration failed to converge.
     NoConvergence {
-        /// Analysis that failed (`"dcop"` or `"transient"`).
+        /// Analysis that failed (`"dcop"` or `"transient_stream"`).
         analysis: &'static str,
         /// Simulated time at which the failure occurred (0 for DC).
         time: f64,
-        /// Iterations performed before giving up.
+        /// Newton iterations of the failing attempt.
         iterations: usize,
     },
     /// The MNA matrix was singular even with gmin applied.
@@ -90,12 +90,12 @@ mod tests {
     #[test]
     fn display_mentions_analysis() {
         let e = SpiceError::NoConvergence {
-            analysis: "transient",
+            analysis: "transient_stream",
             time: 1e-9,
             iterations: 50,
         };
         let s = e.to_string();
-        assert!(s.contains("transient"));
+        assert!(s.contains("transient_stream"));
         assert!(s.contains("50"));
     }
 

@@ -15,17 +15,16 @@
 //!   per-step Newton iteration, fixed or local-truncation-error-adaptive
 //!   time stepping ([`StepControl`]) and automatic sub-stepping on
 //!   convergence trouble ([`transient`]),
-//! * the same stepping policies per lane in a **lane-batched engine**
-//!   ([`batch`]): [`transient_stream`] streams dies through K SIMD lanes,
-//!   refilling a retiring lane from an open-ended source, and
-//!   [`transient_queue`] is the same session over a fixed population. A
-//!   session holds one seat per lane: a die's record and counters move to
-//!   the sink when it retires and its circuit is dropped when its lane
-//!   refills, so session memory is proportional to the lanes, not to the
-//!   dies run. Every ring measurement runs on it, one lane or many;
-//!   [`Circuit::transient`] remains the engine for non-ring circuits
-//!   (all started from given initial voltages) and the reference the lane
-//!   engine is checked against,
+//! * one transient stepping loop, the **lane-batched engine** ([`batch`]),
+//!   which applies those policies per lane: [`transient_stream`] streams
+//!   dies through K SIMD lanes, refilling a retiring lane from an
+//!   open-ended source, and [`transient_queue`] is the same session over
+//!   a fixed population. A session holds one seat per lane: a die's record
+//!   and counters move to the sink when it retires and its circuit is
+//!   dropped when its lane refills, so session memory is proportional to
+//!   the lanes, not to the dies run. Every ring measurement runs on it,
+//!   one lane or many, and [`Circuit::transient`] is a one-lane session
+//!   of it for single circuits (all started from given initial voltages),
 //! * **waveform post-processing**: threshold crossings, propagation delay
 //!   and oscillation-period extraction with sub-step interpolation
 //!   ([`waveform`]).

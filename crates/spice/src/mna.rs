@@ -1,25 +1,29 @@
-//! Modified Nodal Analysis assembly and the shared Newton iteration.
+//! Modified Nodal Analysis: the stamp layout shared by every analysis,
+//! and the DC assembly and Newton iteration of the operating point.
 //!
 //! Unknown ordering: `x = [v(node 1), …, v(node N−1), i(branch 0), …]`.
 //!
 //! The MNA matrix of a fixed netlist has a fixed sparsity pattern — Newton
 //! iterations, time steps and Monte-Carlo samples only change the values.
-//! `MnaWorkspace::new` therefore walks the element list once to record
-//! the stamp coordinates, builds a [`SparseMatrix`] from them, and keeps
-//! the per-stamp value-slot sequence. Every subsequent
-//! `MnaWorkspace::assemble` replays exactly that sequence through a
-//! cursor, writing values straight into the CSR slots with no searching.
-//! (Capacitors stamp in every mode — a zero conductance under
-//! `CapMode::Open` — precisely so the replayed sequence never changes.)
+//! `stamp_coords` therefore walks the element list once to record the
+//! stamp coordinates; `MnaWorkspace::new` (and the lane engine) build a
+//! [`SparseMatrix`] from them and keep the per-stamp value-slot
+//! sequence. Every subsequent `MnaWorkspace::assemble` replays exactly
+//! that sequence through a cursor, writing values straight into the CSR
+//! slots with no searching. (Capacitors are open at DC but still stamp
+//! a zero conductance, precisely so the replayed sequence is the one the
+//! walk recorded.)
 //!
-//! The Newton loop is formulated in **delta form**: it solves
+//! Newton is formulated in **delta form**: it solves
 //! `J·Δ = b(x) − A(x)·x` and updates `x += Δ`. Because the right-hand side
 //! is the true residual of the linearized system, the factorization of `J`
 //! may be *stale* (reused from an earlier iteration or even an earlier
 //! time step) without changing the fixed point — only the convergence
-//! rate. `NewtonOpts::max_stale` bounds the reuse and a residual stall
-//! check triggers an early refresh, giving modified-Newton savings on the
+//! rate. The lane engine's transient Newton exploits this:
+//! `NewtonOpts::max_stale` bounds the reuse and a residual stall check
+//! triggers an early refresh, giving modified-Newton savings on the
 //! smooth stretches and full-Newton robustness on the switching edges.
+//! The DC Newton here refactors every iteration (see `newton_solve`).
 
 use std::sync::Arc;
 
@@ -30,35 +34,23 @@ use crate::device::DeviceStamp;
 use crate::error::SpiceError;
 use crate::node::NodeId;
 
-/// How capacitors enter the system.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CapMode<'a> {
-    /// DC: capacitors are open circuits.
-    Open,
-    /// Transient: each capacitor `k` is a Norton companion
-    /// `(geq, ieq)` with `i = geq·v + ieq`.
-    Companion(&'a [(f64, f64)]),
-}
-
-/// Reusable workspace for repeated assembly/solve cycles.
+/// Reusable workspace for repeated DC assembly/solve cycles.
 ///
 /// Owns the sparse matrix, the slot-replay sequence, the cached
 /// [`SparseLu`] factorization and the [`SolverStats`] counters for
 /// everything solved through it.
 pub(crate) struct MnaWorkspace {
     a: SparseMatrix,
-    pub b: Vec<f64>,
+    b: Vec<f64>,
     /// Value-slot sequence in stamp order; `assemble` replays it.
     slots: Vec<usize>,
     stamps: Vec<DeviceStamp>,
     n_node_unknowns: usize,
     /// Cached factorization; `None` until the first Newton iteration.
     lu: Option<SparseLu>,
-    /// Newton iterations solved since `lu` was last refactored.
-    stale_iters: usize,
     /// Snapshot of the matrix values `lu` was computed from; a refactor
     /// request with identical values is a no-op (linear circuits hit this
-    /// on every iteration and every fixed-dt time step).
+    /// on every iteration).
     last_factored: Vec<f64>,
     /// Residual scratch buffer.
     resid: Vec<f64>,
@@ -72,10 +64,6 @@ pub(crate) struct MnaWorkspace {
     /// Work counters, accumulated across every solve through this
     /// workspace.
     pub stats: SolverStats,
-    /// Staleness-at-refactor histogram handle; resolved once at
-    /// construction (only when metrics are enabled) so the Newton hot
-    /// path never touches the metrics registry.
-    staleness_hist: Option<std::sync::Arc<rotsv_obs::Histogram>>,
 }
 
 /// Voltage of `node` under solution vector `x`.
@@ -115,7 +103,7 @@ fn conductance_coords(a: NodeId, b: NodeId, coords: &mut Vec<(usize, usize)>) {
 }
 
 /// One topology walk recording every stamp coordinate in the exact
-/// order the scalar and batched `assemble` replays produce values.
+/// order the DC and lane-engine `assemble` replays produce values.
 pub(crate) fn stamp_coords(ckt: &Circuit) -> Vec<(usize, usize)> {
     let n_nodes = ckt.node_count() - 1;
     let mut coords = Vec::new();
@@ -179,29 +167,19 @@ impl MnaWorkspace {
             stamps,
             n_node_unknowns: n_nodes,
             lu: None,
-            stale_iters: 0,
             last_factored: Vec::new(),
             resid: vec![0.0; n],
             cache: ckt.symbolic_cache().cloned(),
             opts: ckt.solver_options(),
             stats: SolverStats::default(),
-            staleness_hist: rotsv_obs::metrics_enabled()
-                .then(|| rotsv_obs::histogram("mna.factor_staleness")),
         }
     }
 
-    /// Assembles `A` and `b` at iterate `x`, time `t`, with independent
-    /// sources scaled by `alpha` (used by source stepping) and an extra
-    /// node-to-ground conductance `gmin`.
-    pub fn assemble(
-        &mut self,
-        ckt: &Circuit,
-        x: &[f64],
-        t: f64,
-        alpha: f64,
-        gmin: f64,
-        caps: CapMode<'_>,
-    ) {
+    /// Assembles the DC system `A` and `b` at iterate `x`: capacitors
+    /// open, independent sources at their t = 0 values scaled by `alpha`
+    /// (used by source stepping), and an extra node-to-ground
+    /// conductance `gmin`.
+    pub fn assemble(&mut self, ckt: &Circuit, x: &[f64], alpha: f64, gmin: f64) {
         let n_nodes = self.n_node_unknowns;
         self.a.zero_values();
         self.b.fill(0.0);
@@ -211,7 +189,6 @@ impl MnaWorkspace {
             self.a.add_slot(self.slots[cursor], gmin);
             cursor += 1;
         }
-        let mut cap_idx = 0usize;
         let mut dev_idx = 0usize;
         for elem in &ckt.elements {
             match elem {
@@ -219,22 +196,9 @@ impl MnaWorkspace {
                     cursor = self.stamp_conductance(cursor, *a, *b, 1.0 / ohms);
                 }
                 Element::Capacitor { a, b, .. } => {
-                    // Stamp in every mode so the slot replay stays aligned;
-                    // under CapMode::Open the conductance is simply zero.
-                    let (geq, ieq) = match caps {
-                        CapMode::Open => (0.0, 0.0),
-                        CapMode::Companion(companions) => companions[cap_idx],
-                    };
-                    cursor = self.stamp_conductance(cursor, *a, *b, geq);
-                    // i = geq·v + ieq flows a→b inside the device:
-                    // ieq leaves node a, enters node b.
-                    if let Some(ra) = row_of(*a) {
-                        self.b[ra] -= ieq;
-                    }
-                    if let Some(rb) = row_of(*b) {
-                        self.b[rb] += ieq;
-                    }
-                    cap_idx += 1;
+                    // Open at DC, but stamped as a zero conductance so the
+                    // slot replay stays aligned.
+                    cursor = self.stamp_conductance(cursor, *a, *b, 0.0);
                 }
                 Element::VSource {
                     pos,
@@ -253,10 +217,10 @@ impl MnaWorkspace {
                         self.a.add_slot(self.slots[cursor + 1], -1.0);
                         cursor += 2;
                     }
-                    self.b[rb] = alpha * wave.value(t);
+                    self.b[rb] = alpha * wave.value(0.0);
                 }
                 Element::ISource { from, to, wave } => {
-                    let i = alpha * wave.value(t);
+                    let i = alpha * wave.value(0.0);
                     if let Some(rf) = row_of(*from) {
                         self.b[rf] -= i;
                     }
@@ -312,13 +276,12 @@ impl MnaWorkspace {
 
     /// (Re)factors the current matrix values, reusing the symbolic
     /// analysis and pivot order when available.
-    fn refactor(&mut self, t: f64) -> Result<(), SpiceError> {
+    fn refactor(&mut self) -> Result<(), SpiceError> {
         if self.lu.is_some() && self.last_factored == self.a.values() {
             // The cached factorization is exact for these values.
-            self.stale_iters = 0;
             return Ok(());
         }
-        let map_err = |source| SpiceError::SingularSystem { time: t, source };
+        let map_err = |source| SpiceError::SingularSystem { time: 0.0, source };
         match &mut self.lu {
             None => {
                 // First factorization: go through the shared symbolic
@@ -349,18 +312,13 @@ impl MnaWorkspace {
             }
         }
         self.stats.factorizations += 1;
-        if let Some(hist) = &self.staleness_hist {
-            // How many Newton iterations the replaced factors served.
-            hist.observe(self.stale_iters as f64);
-        }
-        self.stale_iters = 0;
         self.last_factored.clear();
         self.last_factored.extend_from_slice(self.a.values());
         Ok(())
     }
 }
 
-/// Settings for the shared Newton loop.
+/// Newton settings, shared by the DC solve and the lane engine.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NewtonOpts {
     pub max_iterations: usize,
@@ -371,9 +329,10 @@ pub(crate) struct NewtonOpts {
     /// Largest per-iteration node-voltage move before the update is scaled
     /// down (keeps exponential devices from overshooting).
     pub v_step_limit: f64,
-    /// Modified-Newton budget: how many iterations may reuse a stale
-    /// Jacobian factorization before a refresh is forced. `0` recovers
-    /// classic full Newton (refactor every iteration).
+    /// Modified-Newton budget of the lane engine: how many iterations may
+    /// reuse a stale Jacobian factorization before a refresh is forced.
+    /// `0` recovers classic full Newton (refactor every iteration). The
+    /// DC Newton ([`newton_solve`]) always refactors.
     pub max_stale: usize,
 }
 
@@ -393,60 +352,44 @@ impl Default for NewtonOpts {
 /// to shrink by at least this factor between iterations.
 pub(crate) const STALL_RATIO: f64 = 0.3;
 
-/// Runs Newton iterations from initial iterate `x`, assembling with the
-/// provided parameters, until the update is below tolerance.
+/// Runs DC Newton iterations from initial iterate `x`, assembling with
+/// sources scaled by `alpha` and shunt `gmin`, until the update is below
+/// tolerance.
 ///
-/// Delta formulation: every iteration solves `J·Δ = b − A·x` with the
-/// cached (possibly stale) factorization of `J`, so the fixed point is
-/// exact regardless of factorization age.
+/// Full Newton in delta form: every iteration refactors `J` at `x` and
+/// solves `J·Δ = b − A·x`. DC solves start far from the solution (zero
+/// vector, homotopy ramps), where a stale Jacobian can cycle instead of
+/// converge, and DC is a negligible slice of every experiment. A linear
+/// circuit still factors once: a refactor of unchanged values is
+/// skipped.
 ///
 /// Returns the converged solution or the iteration count at failure.
-#[allow(clippy::too_many_arguments)] // crate-private solver entry point
 pub(crate) fn newton_solve(
     ws: &mut MnaWorkspace,
     ckt: &Circuit,
     mut x: Vec<f64>,
-    t: f64,
     alpha: f64,
     gmin: f64,
-    caps: CapMode<'_>,
     opts: &NewtonOpts,
 ) -> Result<Vec<f64>, NewtonFailure> {
     let _span = rotsv_obs::span!("newton");
     let n_nodes = ckt.node_count() - 1;
-    let mut prev_rnorm = f64::INFINITY;
-    // A damped update shrinks the residual slowly no matter how fresh the
-    // Jacobian is, so it must not trip the stall detector.
-    let mut prev_damped = false;
     for iter in 0..opts.max_iterations {
         ws.stats.newton_iterations += 1;
-        ws.assemble(ckt, &x, t, alpha, gmin, caps);
-        // Residual of the linearization at x: r = b − A·x. (For the
-        // converged x this is the true device-equation residual, which is
-        // what makes stale-factorization reuse sound.)
+        ws.assemble(ckt, &x, alpha, gmin);
+        // Residual of the linearization at x: r = b − A·x.
         let n = x.len();
         let mut resid = std::mem::take(&mut ws.resid);
         ws.a.mul_vec_into(&x, &mut resid);
         for (ri, bi) in resid.iter_mut().zip(&ws.b) {
             *ri = bi - *ri;
         }
-        let rnorm = resid.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        // Refresh the factorization when missing, over budget, or when a
-        // stale Jacobian stops making progress. A damped previous update
-        // means the iterate is far from the solution: full Newton is
-        // needed there, and slow residual decrease is expected (so it is
-        // not evidence of staleness either).
-        let stalled = !prev_damped && rnorm > STALL_RATIO * prev_rnorm;
-        if ws.lu.is_none() || ws.stale_iters >= opts.max_stale || stalled || prev_damped {
-            if let Err(error) = ws.refactor(t) {
-                ws.resid = resid;
-                return Err(NewtonFailure {
-                    iterations: iter,
-                    error: Some(error),
-                });
-            }
-        } else {
-            ws.stale_iters += 1;
+        if let Err(error) = ws.refactor() {
+            ws.resid = resid;
+            return Err(NewtonFailure {
+                iterations: iter,
+                error: Some(error),
+            });
         }
         let lu = ws.lu.as_ref().expect("factorization exists after refactor");
         ws.stats.solves += 1;
@@ -456,12 +399,11 @@ pub(crate) fn newton_solve(
                 ws.resid = resid;
                 return Err(NewtonFailure {
                     iterations: iter,
-                    error: Some(SpiceError::SingularSystem { time: t, source }),
+                    error: Some(SpiceError::SingularSystem { time: 0.0, source }),
                 });
             }
         };
         ws.resid = resid;
-        prev_rnorm = rnorm;
 
         // Largest node-voltage move decides both damping and convergence.
         let mut max_dv = 0.0f64;
@@ -486,8 +428,7 @@ pub(crate) fn newton_solve(
             }
             return Ok(x);
         }
-        prev_damped = max_dv > opts.v_step_limit;
-        if prev_damped {
+        if max_dv > opts.v_step_limit {
             // Damped update: move only part of the way.
             let s = opts.v_step_limit / max_dv;
             for i in 0..n {
@@ -528,17 +469,7 @@ mod tests {
         ckt.add_resistor(b, Circuit::GROUND, 1e3);
         let mut ws = MnaWorkspace::new(&ckt);
         let x0 = vec![0.0; ckt.unknown_count()];
-        let x = newton_solve(
-            &mut ws,
-            &ckt,
-            x0,
-            0.0,
-            1.0,
-            ckt.gmin(),
-            CapMode::Open,
-            &NewtonOpts::default(),
-        )
-        .unwrap();
+        let x = newton_solve(&mut ws, &ckt, x0, 1.0, ckt.gmin(), &NewtonOpts::default()).unwrap();
         assert!((node_voltage(&x, a) - 2.0).abs() < 1e-9);
         assert!((node_voltage(&x, b) - 1.0).abs() < 1e-6);
         // Branch current: 2 V across 2 kΩ = 1 mA, flowing out of the
@@ -569,10 +500,8 @@ mod tests {
                 &mut ws,
                 &ckt,
                 vec![0.0; ckt.unknown_count()],
-                0.0,
                 1.0,
                 ckt.gmin(),
-                CapMode::Open,
                 &NewtonOpts::default(),
             )
             .unwrap();
@@ -610,10 +539,8 @@ mod tests {
             &mut ws,
             &ckt,
             vec![0.0; 1],
-            0.0,
             1.0,
             ckt.gmin(),
-            CapMode::Open,
             &NewtonOpts::default(),
         )
         .unwrap();
@@ -630,10 +557,8 @@ mod tests {
             &mut ws,
             &ckt,
             vec![0.0; 1],
-            0.0,
             1.0,
             ckt.gmin(),
-            CapMode::Open,
             &NewtonOpts::default(),
         )
         .unwrap();
@@ -654,43 +579,12 @@ mod tests {
             &mut ws,
             &ckt,
             vec![0.0; ckt.unknown_count()],
-            0.0,
             1.0,
             ckt.gmin(),
-            CapMode::Open,
             &NewtonOpts::default(),
         )
         .unwrap();
         assert!((node_voltage(&x, b) - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cap_mode_switch_keeps_stamp_replay_aligned() {
-        // The same workspace must assemble correctly in Open mode, then in
-        // Companion mode, then in Open again (the dcop → transient path).
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.add_vsource(a, Circuit::GROUND, SourceWaveform::dc(1.0));
-        ckt.add_resistor(a, b, 1e3);
-        ckt.add_capacitor(b, Circuit::GROUND, 1e-9);
-        let mut ws = MnaWorkspace::new(&ckt);
-        let x = vec![0.0; ckt.unknown_count()];
-        ws.assemble(&ckt, &x, 0.0, 1.0, ckt.gmin(), CapMode::Open);
-        let companions = [(1e-3, -2e-3)];
-        ws.assemble(
-            &ckt,
-            &x,
-            0.0,
-            1.0,
-            ckt.gmin(),
-            CapMode::Companion(&companions),
-        );
-        // Companion conductance lands on the diagonal of node b.
-        let lhs_open_then_companion = ws.b.clone();
-        assert!((lhs_open_then_companion[1] - 2e-3).abs() < 1e-15);
-        ws.assemble(&ckt, &x, 0.0, 1.0, ckt.gmin(), CapMode::Open);
-        assert_eq!(ws.b[1], 0.0);
     }
 
     #[test]
@@ -711,10 +605,8 @@ mod tests {
             &mut ws,
             &ckt,
             vec![0.0; ckt.unknown_count()],
-            0.0,
             1.0,
             ckt.gmin(),
-            CapMode::Open,
             &NewtonOpts::default(),
         )
         .unwrap();
@@ -729,6 +621,8 @@ mod tests {
         assert!(ws.stats.solves >= ws.stats.factorizations);
     }
 
+    /// DC Newton is full Newton: one factorization per iteration even
+    /// under the lane engine's default staleness budget.
     #[test]
     fn full_newton_mode_refactors_every_iteration() {
         use crate::device::test_devices::Diode;
@@ -743,19 +637,13 @@ mod tests {
             v_t: 0.02585,
         }));
         let mut ws = MnaWorkspace::new(&ckt);
-        let opts = NewtonOpts {
-            max_stale: 0,
-            ..NewtonOpts::default()
-        };
         newton_solve(
             &mut ws,
             &ckt,
             vec![0.0; ckt.unknown_count()],
-            0.0,
             1.0,
             ckt.gmin(),
-            CapMode::Open,
-            &opts,
+            &NewtonOpts::default(),
         )
         .unwrap();
         assert_eq!(ws.stats.factorizations, ws.stats.newton_iterations);

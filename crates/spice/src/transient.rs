@@ -1,4 +1,7 @@
-//! Transient analysis.
+//! Transient analysis: the specification, the result, and
+//! [`Circuit::transient`], which runs one circuit as a one-lane session
+//! of the lane engine ([`crate::batch`]). That engine holds the one
+//! transient stepping loop; this module describes its policies.
 //!
 //! Integration uses trapezoidal (default) or backward-Euler companion
 //! models with Newton iteration at every step. The first two accepted
@@ -23,13 +26,12 @@
 //! solutions, which is what keeps large adaptive steps cheap.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use rotsv_num::sparse::SolverStats;
 
-use crate::circuit::{Circuit, Element};
+use crate::batch::transient_queue;
+use crate::circuit::Circuit;
 use crate::error::SpiceError;
-use crate::mna::{newton_solve, node_voltage, CapMode, MnaWorkspace, NewtonOpts};
 use crate::node::NodeId;
 use crate::waveform::Waveform;
 
@@ -215,8 +217,8 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// Assembles a result from raw pieces (used by the batched engine,
-    /// which records per-lane columns outside `Circuit::transient`).
+    /// Assembles a result from raw pieces: the lane engine's record of
+    /// one retiring die.
     pub(crate) fn from_parts(
         time: Vec<f64>,
         columns: BTreeMap<NodeId, Vec<f64>>,
@@ -283,305 +285,23 @@ impl TransientResult {
     }
 }
 
-struct CapState {
-    a: NodeId,
-    b: NodeId,
-    farads: f64,
-    v: f64,
-    i: f64,
-}
-
 impl Circuit {
-    /// Runs a transient analysis.
+    /// Runs a transient analysis: a one-lane [`transient_queue`] session
+    /// of the lane engine, the same stepping loop every ring measurement
+    /// runs on.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::InvalidSpec`] for a non-positive step or stop
-    /// time, [`SpiceError::NoConvergence`] if a step fails even after
-    /// halving the step 12 times, and [`SpiceError::SingularSystem`] for a
-    /// structurally singular system.
+    /// time or an inconsistent [`AdaptiveControl`],
+    /// [`SpiceError::InvalidCircuit`] for an initial voltage on a node the
+    /// circuit lacks, [`SpiceError::NoConvergence`] if a step fails even
+    /// at the smallest step (after halving it 12 times on the fixed grid),
+    /// and [`SpiceError::SingularSystem`] for a structurally singular
+    /// system.
     pub fn transient(&self, spec: &TransientSpec) -> Result<TransientResult, SpiceError> {
-        let _span = rotsv_obs::span!("transient");
-        if spec.dt <= 0.0 || !spec.dt.is_finite() {
-            return Err(SpiceError::InvalidSpec(format!(
-                "time step must be positive, got {}",
-                spec.dt
-            )));
-        }
-        if spec.t_stop <= 0.0 || !spec.t_stop.is_finite() {
-            return Err(SpiceError::InvalidSpec(format!(
-                "stop time must be positive, got {}",
-                spec.t_stop
-            )));
-        }
-        if let StepControl::Adaptive(c) = &spec.step {
-            let sane = c.lte_reltol > 0.0
-                && c.lte_abstol > 0.0
-                && c.min_shrink > 0.0
-                && c.min_shrink <= 1.0
-                && c.max_stretch >= 1.0
-                && c.max_growth > 1.0
-                && c.reject_threshold >= 1.0;
-            if !sane {
-                return Err(SpiceError::InvalidSpec(format!(
-                    "inconsistent adaptive step control: {c:?}"
-                )));
-            }
-        }
-        for &(node, _) in &spec.initial_voltages {
-            if node.index() >= self.node_count() {
-                return Err(SpiceError::InvalidCircuit(format!(
-                    "initial condition on unknown node {node}"
-                )));
-            }
-        }
-
-        // Initial solution vector.
-        let mut x = vec![0.0; self.unknown_count()];
-        for &(node, v) in &spec.initial_voltages {
-            if !node.is_ground() {
-                x[node.index() - 1] = v;
-            }
-        }
-
-        let wall_start = Instant::now();
-        let (newton_hist, lte_hist) = if rotsv_obs::metrics_enabled() {
-            (
-                Some(rotsv_obs::histogram("transient.newton_iters_per_step")),
-                Some(rotsv_obs::histogram("transient.lte_step_seconds")),
-            )
-        } else {
-            (None, None)
-        };
-
-        // Capacitor bookkeeping (in element order, matching CapMode::Companion).
-        let mut caps: Vec<CapState> = self
-            .elements
-            .iter()
-            .filter_map(|e| match e {
-                Element::Capacitor { a, b, farads } => Some(CapState {
-                    a: *a,
-                    b: *b,
-                    farads: *farads,
-                    v: 0.0,
-                    i: 0.0,
-                }),
-                _ => None,
-            })
-            .collect();
-        for c in &mut caps {
-            c.v = node_voltage(&x, c.a) - node_voltage(&x, c.b);
-        }
-
-        // Recording setup.
-        let record_nodes: Vec<NodeId> = if spec.record_nodes.is_empty() {
-            (0..self.node_count()).map(NodeId).collect()
-        } else {
-            let mut nodes = spec.record_nodes.clone();
-            nodes.sort_unstable();
-            nodes.dedup();
-            nodes
-        };
-        let mut columns: BTreeMap<NodeId, Vec<f64>> =
-            record_nodes.iter().map(|&n| (n, Vec::new())).collect();
-        let n_node_unknowns = self.node_count() - 1;
-        let mut time = Vec::new();
-        let record =
-            |t: f64, x: &[f64], time: &mut Vec<f64>, columns: &mut BTreeMap<NodeId, Vec<f64>>| {
-                time.push(t);
-                for (&node, col) in columns.iter_mut() {
-                    col.push(node_voltage(x, node));
-                }
-            };
-        record(0.0, &x, &mut time, &mut columns);
-
-        // Stop-condition tracking.
-        let mut crossings_seen = 0usize;
-        let mut stop_prev = spec
-            .stop
-            .as_ref()
-            .map(|StopCondition::RisingCrossings { node, .. }| node_voltage(&x, *node));
-
-        let mut ws = MnaWorkspace::new(self);
-        let opts = NewtonOpts {
-            max_iterations: spec.max_newton,
-            ..NewtonOpts::default()
-        };
-        let mut companions = vec![(0.0f64, 0.0f64); caps.len()];
-
-        let adaptive = match spec.step {
-            StepControl::Fixed => None,
-            StepControl::Adaptive(c) => Some(c),
-        };
-        let dt_min = adaptive.map_or(spec.dt, |c| spec.dt * c.min_shrink);
-        let dt_max = adaptive.map_or(spec.dt, |c| spec.dt * c.max_stretch);
-        // Step proposed for the next attempt (evolves only in adaptive mode).
-        let mut dt_next = spec.dt;
-        // Previous accepted solution and the step that led from it to `x`,
-        // for the linear LTE predictor.
-        let mut hist: Option<(Vec<f64>, f64)> = None;
-
-        let mut t = 0.0f64;
-        let mut steps = 0usize;
-        let mut stopped_early = false;
-        const MAX_HALVINGS: u32 = 12;
-
-        'outer: while t < spec.t_stop - 1e-18 {
-            let mut dt_try = dt_next.min(spec.t_stop - t);
-            let mut halvings = 0u32;
-            loop {
-                // Startup steps use backward Euler regardless of method.
-                let use_trap = spec.method == IntegrationMethod::Trapezoidal && steps >= 2;
-                for (k, c) in caps.iter().enumerate() {
-                    if c.farads == 0.0 {
-                        companions[k] = (0.0, 0.0);
-                    } else if use_trap {
-                        let geq = 2.0 * c.farads / dt_try;
-                        companions[k] = (geq, -(geq * c.v + c.i));
-                    } else {
-                        let geq = c.farads / dt_try;
-                        companions[k] = (geq, -geq * c.v);
-                    }
-                }
-                let t_next = t + dt_try;
-                // Newton initial guess: linear extrapolation through the
-                // last two accepted solutions. Same fixed point as
-                // starting from `x` (delta-form Newton), but starting
-                // closer saves iterations — the larger the step, the more
-                // it saves, which is what makes big adaptive steps cheap.
-                let x_start = match &hist {
-                    Some((x_prev, dt_prev)) if steps >= 2 => {
-                        let scale = dt_try / dt_prev;
-                        x.iter()
-                            .zip(x_prev)
-                            .map(|(&xi, &pi)| xi + (xi - pi) * scale)
-                            .collect()
-                    }
-                    _ => x.clone(),
-                };
-                let newton_before = ws.stats.newton_iterations;
-                match newton_solve(
-                    &mut ws,
-                    self,
-                    x_start,
-                    t_next,
-                    1.0,
-                    self.gmin(),
-                    CapMode::Companion(&companions),
-                    &opts,
-                ) {
-                    Ok(sol) => {
-                        // Local-truncation-error test: compare against the
-                        // linear predictor through the last two accepted
-                        // solutions.
-                        if let (Some(c), Some((x_prev, dt_prev))) =
-                            (adaptive.as_ref(), hist.as_ref())
-                        {
-                            if steps >= 2 {
-                                let scale = dt_try / dt_prev;
-                                let mut err = 0.0f64;
-                                for i in 0..n_node_unknowns {
-                                    let pred = x[i] + (x[i] - x_prev[i]) * scale;
-                                    let tol =
-                                        c.lte_abstol + c.lte_reltol * sol[i].abs().max(x[i].abs());
-                                    err = err.max((sol[i] - pred).abs() / tol);
-                                }
-                                if err > c.reject_threshold && dt_try > dt_min * (1.0 + 1e-9) {
-                                    ws.stats.steps_rejected += 1;
-                                    dt_try =
-                                        (dt_try * (0.9 / err.sqrt()).clamp(0.1, 0.5)).max(dt_min);
-                                    continue;
-                                }
-                                // Accepted (forcibly so at dt_min): propose
-                                // the next step from the error estimate —
-                                // err > 1 shrinks it, err < 0.81 grows it.
-                                let grow = (0.9 / err.max(1e-12).sqrt()).min(c.max_growth);
-                                dt_next = (dt_try * grow).clamp(dt_min, dt_max);
-                            }
-                        }
-                        for (k, c) in caps.iter_mut().enumerate() {
-                            let v_new = node_voltage(&sol, c.a) - node_voltage(&sol, c.b);
-                            let (geq, ieq) = companions[k];
-                            c.i = geq * v_new + ieq;
-                            c.v = v_new;
-                        }
-                        hist = Some((std::mem::replace(&mut x, sol), dt_try));
-                        t = t_next;
-                        steps += 1;
-                        ws.stats.steps_accepted += 1;
-                        if let Some(h) = &newton_hist {
-                            h.observe((ws.stats.newton_iterations - newton_before) as f64);
-                        }
-                        if let Some(h) = &lte_hist {
-                            h.observe(dt_try);
-                        }
-                        // Scalar engine has no lane: the ring still sees
-                        // every accepted step so traces and drop counts
-                        // stay engine-agnostic.
-                        rotsv_obs::record_event(
-                            rotsv_obs::EventKind::StepAccepted,
-                            rotsv_obs::LANE_NONE,
-                            (ws.stats.newton_iterations - newton_before) as u32,
-                            dt_try,
-                        );
-                        record(t, &x, &mut time, &mut columns);
-                        if let Some(StopCondition::RisingCrossings {
-                            node,
-                            threshold,
-                            count,
-                        }) = &spec.stop
-                        {
-                            let v_now = node_voltage(&x, *node);
-                            let prev = stop_prev.replace(v_now).unwrap_or(v_now);
-                            if prev < *threshold && v_now >= *threshold {
-                                crossings_seen += 1;
-                                if crossings_seen >= *count {
-                                    stopped_early = true;
-                                    break 'outer;
-                                }
-                            }
-                        }
-                        break;
-                    }
-                    Err(fail) => {
-                        if let Some(err @ SpiceError::SingularSystem { .. }) = fail.error {
-                            return Err(err);
-                        }
-                        ws.stats.steps_rejected += 1;
-                        if adaptive.is_some() {
-                            if dt_try <= dt_min * (1.0 + 1e-9) {
-                                return Err(SpiceError::NoConvergence {
-                                    analysis: "transient",
-                                    time: t_next,
-                                    iterations: fail.iterations,
-                                });
-                            }
-                            dt_try = (dt_try * 0.5).max(dt_min);
-                        } else {
-                            halvings += 1;
-                            if halvings > MAX_HALVINGS {
-                                return Err(SpiceError::NoConvergence {
-                                    analysis: "transient",
-                                    time: t_next,
-                                    iterations: fail.iterations,
-                                });
-                            }
-                            dt_try *= 0.5;
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut stats = ws.stats;
-        stats.wall_seconds = wall_start.elapsed().as_secs_f64();
-        Ok(TransientResult {
-            time,
-            columns,
-            stopped_early,
-            steps_taken: steps,
-            stats,
-        })
+        let mut results = transient_queue(&[self], 1, spec)?;
+        Ok(results.remove(0))
     }
 }
 
@@ -703,6 +423,33 @@ mod tests {
         assert!(matches!(err, SpiceError::InvalidSpec(_)));
         let err = ckt.transient(&TransientSpec::new(-1.0, 1e-9)).unwrap_err();
         assert!(matches!(err, SpiceError::InvalidSpec(_)));
+    }
+
+    /// A step controller that could never grow a step is rejected before
+    /// any stepping.
+    #[test]
+    fn inconsistent_adaptive_control_is_rejected() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add_resistor(a, Circuit::GROUND, 1e3);
+        ckt.add_capacitor(a, Circuit::GROUND, 1e-9);
+        let stuck = StepControl::Adaptive(AdaptiveControl {
+            max_growth: 1.0,
+            ..AdaptiveControl::default()
+        });
+        let spec = TransientSpec::new(1e-6, 1e-9).step_control(stuck);
+        let err = ckt.transient(&spec).unwrap_err();
+        assert!(matches!(err, SpiceError::InvalidSpec(_)), "{err:?}");
+    }
+
+    #[test]
+    fn initial_voltage_on_unknown_node_is_rejected() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add_resistor(a, Circuit::GROUND, 1e3);
+        let spec = TransientSpec::new(1e-6, 1e-9).initial_voltages(&[(NodeId(7), 1.0)]);
+        let err = ckt.transient(&spec).unwrap_err();
+        assert!(matches!(err, SpiceError::InvalidCircuit(_)), "{err:?}");
     }
 
     #[test]
