@@ -5,7 +5,7 @@
 #   ./ci.sh lint    # fmt, clippy, rustdoc — all warnings denied
 #   ./ci.sh test    # release build + full test suite + benchmark smoke
 #   ./ci.sh gate    # smokes, golden regression, bench + server gates
-#   ./ci.sh portable # RUSTFLAGS-cleared build, scalar-dispatch agreement
+#   ./ci.sh portable # RUSTFLAGS-cleared build, scalar/AVX2-dispatch agreement
 #   ./ci.sh         # all four, in order
 #
 # Run from the repo root; exits nonzero on the first failure.
@@ -218,18 +218,21 @@ gate_stage() {
 portable_stage() {
   # The tree carries no target-cpu pin (runtime dispatch covers the
   # wide vectors), so "portable" here means: any ambient RUSTFLAGS
-  # cleared, and the runtime dispatch forced down to the scalar
-  # fallback via ROTSV_SIMD=scalar — the configuration a machine
-  # without AVX lands on. The agreement suites then prove that path
-  # produces the same bits as the vectorised arms (the wide-lane suite
-  # re-raises the level internally, so on an AVX host it compares
-  # scalar against AVX2/AVX-512 output directly).
-  echo "==> portable build (RUSTFLAGS cleared, ROTSV_SIMD=scalar)"
+  # cleared, and the runtime dispatch capped below the host's level.
+  # ROTSV_SIMD=scalar is the configuration a machine without AVX lands
+  # on; ROTSV_SIMD=avx2 one without AVX-512 (and the arm every lane
+  # count with 4 | k and 8 ∤ k runs even on an AVX-512 host). The
+  # agreement suites then prove each capped path produces the same
+  # bits as the others (the wide-lane suite re-raises the level
+  # internally, so on an AVX host it compares the arms directly).
+  echo "==> portable build (RUSTFLAGS cleared)"
   RUSTFLAGS="" cargo build --release -p rotsv
 
-  echo "==> scalar-dispatch agreement suites (batched_engine, simd_wide_lanes)"
-  RUSTFLAGS="" ROTSV_SIMD=scalar cargo test -q -p rotsv --release \
-    --test batched_engine --test simd_wide_lanes
+  for level in scalar avx2; do
+    echo "==> $level-dispatch agreement suites (batched_engine, simd_wide_lanes)"
+    RUSTFLAGS="" ROTSV_SIMD="$level" cargo test -q -p rotsv --release \
+      --test batched_engine --test simd_wide_lanes
+  done
 }
 
 case "$stage" in

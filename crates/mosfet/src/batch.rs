@@ -22,7 +22,7 @@
 //! multiply-adds.
 
 use rotsv_num::lanes;
-use rotsv_num::simd::{ScalarLanes, Simd};
+use rotsv_num::simd::{self, LaneCount, LaneKernel, Simd};
 use rotsv_spice::{BatchedDeviceEval, NonlinearDevice};
 
 use crate::device::Mosfet;
@@ -110,73 +110,36 @@ impl MosfetBank {
     pub fn lanes(&self) -> usize {
         self.k
     }
-}
 
-impl MosfetBank {
-    /// Monomorphized evaluation: dispatches the lane sweep to the widest
-    /// SIMD arm `K` is a multiple of. Lane results are bit-identical
-    /// across arms (identical operations, association and selects), so
-    /// the dispatch decision never changes a transient.
-    fn eval_k<const K: usize>(&self, v: &[f64], current: &mut [f64], jacobian: &mut [f64]) {
-        debug_assert_eq!(self.k, K);
-        #[cfg(target_arch = "x86_64")]
-        {
-            use rotsv_num::simd::{self, Level};
-            let level = simd::level();
-            if K.is_multiple_of(8) && level == Level::Avx512 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.eval_avx512::<K>(v, current, jacobian) };
-            }
-            if K.is_multiple_of(4) && level >= Level::Avx2 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.eval_avx2::<K>(v, current, jacobian) };
-            }
-        }
-        // SAFETY: the scalar arm has no ISA requirements.
-        unsafe { self.eval_body::<K, ScalarLanes>(v, current, jacobian) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn eval_avx512<const K: usize>(&self, v: &[f64], current: &mut [f64], jacobian: &mut [f64]) {
-        // SAFETY: caller verified avx512f; we are in a matching region.
-        unsafe { self.eval_body::<K, rotsv_num::simd::Avx512Lanes>(v, current, jacobian) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn eval_avx2<const K: usize>(&self, v: &[f64], current: &mut [f64], jacobian: &mut [f64]) {
-        // SAFETY: caller verified avx2; we are in a matching region.
-        unsafe { self.eval_body::<K, rotsv_num::simd::Avx2Lanes>(v, current, jacobian) }
-    }
-
-    /// The model sweep: `K` lanes in `K / S::W` vector chunks. Every
-    /// operation mirrors [`MosfetBank::eval_dyn`] exactly — same IEEE
-    /// ops, same association, compare + blend for every conditional
-    /// (`max` included), no fused multiply-adds — so all dispatch arms
-    /// and the dynamic fallback agree to the bit.
+    /// The model sweep: `k` lanes in `k / S::W` vector chunks, the
+    /// formulation of [`MosParams::ids_with_grad`] with every operation
+    /// an IEEE-exact lane op in a fixed association, compare + blend for
+    /// every conditional (`max` included) and no fused multiply-adds, so
+    /// every dispatch arm and lane count agrees to the bit.
     ///
     /// # Safety
     ///
-    /// `S`'s ISA must be available and enabled in the enclosing region;
-    /// `K` must be a multiple of `S::W` and equal `self.k` (slices sized
-    /// as in [`BatchedDeviceEval::eval_lanes`]).
+    /// The [`LaneKernel::run`] contract, with `n.get() == self.k`
+    /// (slices sized as in [`BatchedDeviceEval::eval_lanes`]).
     #[inline(always)]
-    unsafe fn eval_body<const K: usize, S: Simd>(
+    unsafe fn eval_body<N: LaneCount, S: Simd>(
         &self,
+        n: N,
         v: &[f64],
         current: &mut [f64],
         jacobian: &mut [f64],
     ) {
-        debug_assert_eq!(K % S::W, 0);
+        let k = n.get();
+        debug_assert_eq!(self.k, k);
+        debug_assert_eq!(k % S::W, 0);
         let vp = v.as_ptr();
         let cp = current.as_mut_ptr();
         let jp = jacobian.as_mut_ptr();
         let vthp = self.vth_base.as_ptr();
         let wlp = self.wl.as_ptr();
-        // SAFETY (whole body): all offsets stay inside the 4·K / 16·K /
-        // K-sized slices asserted by `eval_lanes`; chunks are W-aligned
-        // within each terminal's contiguous K-lane group.
+        // SAFETY (whole body): all offsets stay inside the 4·k / 16·k /
+        // k-sized slices asserted by `eval_lanes`; chunks are W-aligned
+        // within each terminal's contiguous k-lane group.
         unsafe {
             let sign = S::splat(self.sign);
             let s = S::splat(self.s);
@@ -189,13 +152,13 @@ impl MosfetBank {
             let one = S::splat(1.0);
             let two = S::splat(2.0);
             let eps = S::splat(1e-12);
-            for c in (0..K).step_by(S::W) {
+            for c in (0..k).step_by(S::W) {
                 // Polarity mirror; lane-interleaved layout means one
-                // terminal's K lanes are contiguous: plain vector loads.
+                // terminal's k lanes are contiguous: plain vector loads.
                 let vd = S::mul(sign, S::ld(vp.add(c)));
-                let vg = S::mul(sign, S::ld(vp.add(K + c)));
-                let vs = S::mul(sign, S::ld(vp.add(2 * K + c)));
-                let vb = S::mul(sign, S::ld(vp.add(3 * K + c)));
+                let vg = S::mul(sign, S::ld(vp.add(k + c)));
+                let vs = S::mul(sign, S::ld(vp.add(2 * k + c)));
+                let vb = S::mul(sign, S::ld(vp.add(3 * k + c)));
                 // Drain/source symmetry: operate on the lower terminal
                 // as source (compare + blend).
                 let fwd = S::ge(vd, vs);
@@ -261,94 +224,16 @@ impl MosfetBank {
                 let id = S::mul(sign, i_n);
                 // Channel current drain → source; gate and bulk rows zero.
                 S::st(cp.add(c), id);
-                S::st(cp.add(K + c), zero);
-                S::st(cp.add(2 * K + c), S::neg(id));
-                S::st(cp.add(3 * K + c), zero);
+                S::st(cp.add(k + c), zero);
+                S::st(cp.add(2 * k + c), S::neg(id));
+                S::st(cp.add(3 * k + c), zero);
                 let grad = [gd, gg, gs, gb];
                 for (j, &g) in grad.iter().enumerate() {
-                    S::st(jp.add(j * K + c), g); // row 0: drain
-                    S::st(jp.add((4 + j) * K + c), zero); // row 1: gate
-                    S::st(jp.add((8 + j) * K + c), S::neg(g)); // row 2: source
-                    S::st(jp.add((12 + j) * K + c), zero); // row 3: bulk
+                    S::st(jp.add(j * k + c), g); // row 0: drain
+                    S::st(jp.add((4 + j) * k + c), zero); // row 1: gate
+                    S::st(jp.add((8 + j) * k + c), S::neg(g)); // row 2: source
+                    S::st(jp.add((12 + j) * k + c), zero); // row 3: bulk
                 }
-            }
-        }
-    }
-
-    /// Dynamic-lane-count fallback for batch sizes without a
-    /// monomorphized kernel (remainder batches).
-    fn eval_dyn(&self, v: &[f64], current: &mut [f64], jacobian: &mut [f64]) {
-        let k = self.k;
-        let (sign, s) = (self.sign, self.s);
-        let (gamma, phi, sqrt_phi) = (self.gamma, self.phi, self.sqrt_phi);
-        let (theta, lambda) = (self.theta, self.lambda);
-        for lane in 0..k {
-            // Polarity mirror: PMOS evaluates the NMOS equations at
-            // negated terminal voltages and negates the current.
-            let vd = sign * v[lane];
-            let vg = sign * v[k + lane];
-            let vs = sign * v[2 * k + lane];
-            let vb = sign * v[3 * k + lane];
-            // Drain/source symmetry: operate on the lower terminal as
-            // source (select, not branch — both sides cost the same).
-            let fwd = vd >= vs;
-            let lo = if fwd { vs } else { vd };
-            let hi = if fwd { vd } else { vs };
-            let vds = hi - lo;
-            let vgs = vg - lo;
-            let vsb = lo - vb;
-            // Body effect with the smooth clamp (see MosParams::ids_core_grad).
-            let (sp0, sig0) = lanes::softplus_sig((vsb + phi) / s);
-            let vsb_eff = s * sp0;
-            let sqrt_vsb_eff = vsb_eff.sqrt();
-            let vth = self.vth_base[lane] + gamma * (sqrt_vsb_eff - sqrt_phi);
-            let dvth_dvsb = gamma * sig0 / (2.0 * sqrt_vsb_eff);
-            // Smooth effective overdrive.
-            let (sp1, sig1) = lanes::softplus_sig((vgs - vth) / s);
-            let vov = s * sp1;
-            let theta_den = 1.0 + theta * vov;
-            let beta = self.wl[lane] / theta_den;
-            let dbeta_dvov = -beta * theta / theta_den;
-            let vdsat = vov.max(1e-12);
-            let u = vds / vdsat;
-            let u2 = u * u;
-            let u4 = u2 * u2;
-            let den = (1.0 + u4).sqrt().sqrt();
-            let vds_eff = vds / den;
-            let den4 = den * den * den * den;
-            let dveff_dvds = 1.0 / (den4 * den);
-            let dveff_dvdsat = if vov > 1e-12 {
-                u4 * u * dveff_dvds
-            } else {
-                0.0
-            };
-            let clm = 1.0 + lambda * vds;
-            let q = (vov - vds_eff / 2.0) * vds_eff;
-            let i_core = beta * q * clm;
-            let dq_dveff = vov - vds_eff;
-            let d_vds = beta * clm * dq_dveff * dveff_dvds + beta * q * lambda;
-            let di_dvov = (dbeta_dvov * q + beta * (vds_eff + dq_dveff * dveff_dvdsat)) * clm;
-            let d_vgs = di_dvov * sig1;
-            let d_vsb = -di_dvov * sig1 * dvth_dvsb;
-            // Un-mirror drain/source, then polarity (gradient is
-            // polarity-invariant: f(v) = −g(−v) ⇒ f′(v) = g′(−v)).
-            let (i_n, gd, gg, gs, gb) = if fwd {
-                (i_core, d_vds, d_vgs, -d_vds - d_vgs + d_vsb, -d_vsb)
-            } else {
-                (-i_core, d_vds + d_vgs - d_vsb, -d_vgs, -d_vds, d_vsb)
-            };
-            let id = sign * i_n;
-            // Channel current drain → source; gate and bulk rows zero.
-            current[lane] = id;
-            current[k + lane] = 0.0;
-            current[2 * k + lane] = -id;
-            current[3 * k + lane] = 0.0;
-            let grad = [gd, gg, gs, gb];
-            for (j, g) in grad.iter().enumerate() {
-                jacobian[j * k + lane] = *g; // row 0: drain
-                jacobian[(4 + j) * k + lane] = 0.0; // row 1: gate
-                jacobian[(8 + j) * k + lane] = -g; // row 2: source
-                jacobian[(12 + j) * k + lane] = 0.0; // row 3: bulk
             }
         }
     }
@@ -360,20 +245,15 @@ impl BatchedDeviceEval for MosfetBank {
         debug_assert_eq!(v.len(), 4 * k);
         debug_assert_eq!(current.len(), 4 * k);
         debug_assert_eq!(jacobian.len(), 16 * k);
-        // Monomorphized kernels for the common batch widths; lane results
-        // are bit-identical across the dispatch arms and the dynamic
-        // fallback (the vector-form elementary functions match the
-        // scalar ones bit for bit).
-        match k {
-            1 => self.eval_k::<1>(v, current, jacobian),
-            2 => self.eval_k::<2>(v, current, jacobian),
-            4 => self.eval_k::<4>(v, current, jacobian),
-            8 => self.eval_k::<8>(v, current, jacobian),
-            16 => self.eval_k::<16>(v, current, jacobian),
-            32 => self.eval_k::<32>(v, current, jacobian),
-            64 => self.eval_k::<64>(v, current, jacobian),
-            _ => self.eval_dyn(v, current, jacobian),
-        }
+        simd::dispatch(
+            k,
+            BankEval {
+                bank: self,
+                v,
+                current,
+                jacobian,
+            },
+        );
     }
 
     /// Drain and source. The channel current flows drain → source, so
@@ -398,6 +278,52 @@ impl BatchedDeviceEval for MosfetBank {
         self.wl[lane] = p.kp * p.w / p.l_eff();
         true
     }
+}
+
+/// [`MosfetBank::eval_body`] as a [`LaneKernel`].
+struct BankEval<'a> {
+    bank: &'a MosfetBank,
+    v: &'a [f64],
+    current: &'a mut [f64],
+    jacobian: &'a mut [f64],
+}
+
+impl LaneKernel for BankEval<'_> {
+    type Output = ();
+
+    fn at<N: LaneCount>(self, n: N) {
+        eval_at(n, self.bank, self.v, self.current, self.jacobian);
+    }
+
+    #[inline(always)]
+    unsafe fn run<N: LaneCount, S: Simd>(self, n: N) {
+        // SAFETY: forwarded from `dispatch`; `n` is the bank's lane count.
+        unsafe {
+            self.bank
+                .eval_body::<N, S>(n, self.v, self.current, self.jacobian)
+        }
+    }
+}
+
+/// [`BankEval`] at one lane count, its slices as parameters (see
+/// [`LaneKernel::at`]).
+#[inline(never)]
+fn eval_at<N: LaneCount>(
+    n: N,
+    bank: &MosfetBank,
+    v: &[f64],
+    current: &mut [f64],
+    jacobian: &mut [f64],
+) {
+    simd::arm(
+        n,
+        BankEval {
+            bank,
+            v,
+            current,
+            jacobian,
+        },
+    );
 }
 
 #[cfg(test)]
@@ -448,8 +374,7 @@ mod tests {
     /// which the subthreshold exponential amplifies slightly).
     #[test]
     fn bank_matches_scalar_eval() {
-        // 3 lanes exercises the dynamic fallback; 4/8/16 the
-        // monomorphized kernels.
+        // 3 lanes runs the scalar arm; 4/8/16 the vector arms.
         for (pmos, n) in [(false, 3), (true, 3), (false, 4), (true, 8), (false, 16)] {
             let devs = lane_devices_n(pmos, n);
             let refs: Vec<&Mosfet> = devs.iter().collect();
@@ -519,7 +444,7 @@ mod tests {
         for want in [Level::Scalar, Level::Avx2, Level::Avx512] {
             let level = simd::set_level(want);
             for pmos in [false, true] {
-                for k in [1, 2, 4, 8, 16, 32] {
+                for k in [1, 2, 4, 8, 12, 16, 24, 32] {
                     let devs = lane_devices_n(pmos, k);
                     let refs: Vec<&Mosfet> = devs.iter().collect();
                     let mut bank = MosfetBank::try_new(&refs).expect("uniform lanes");

@@ -2,7 +2,7 @@
 //!
 //! The batched Monte-Carlo engine evaluates the MOSFET model for K dies
 //! in lockstep, with the lane index as the innermost loop. That loop
-//! only autovectorizes if every operation inside it is branch-free and
+//! only vectorizes if every operation inside it is branch-free and
 //! call-free: `libm`'s `exp`/`ln` are opaque calls with internal
 //! branches, so this module provides polynomial replacements written as
 //! straight-line arithmetic (plus `select`-style conditionals that LLVM
@@ -13,14 +13,13 @@
 //! Newton tolerances. The scalar device evaluation (the DC operating
 //! point's) keeps using `libm` and is the lane kernels' test reference.
 //!
-//! Three forms of each function coexist, all bit-identical per lane:
-//! the scalar reference (`exp`), the const-K array form (`exp_k`, the
-//! autovectorizing fallback), and the explicit vector form (`exp_v`,
+//! Two forms of each function coexist, bit-identical per lane: the
+//! scalar reference (`exp`) and the explicit vector form (`exp_v`,
 //! generic over a [`crate::simd::Simd`] ISA token, used by the
-//! runtime-dispatched kernels). Identity holds because every form
-//! performs the same IEEE-exact operations in the same association
-//! order, uses select-form conditionals (never `maxpd`-style min/max),
-//! and never fuses a multiply-add.
+//! dispatched lane kernels). Identity holds because both forms perform
+//! the same IEEE-exact operations in the same association order, use
+//! select-form conditionals (never `maxpd`-style min/max), and never
+//! fuse a multiply-add.
 
 /// log2(e).
 const LOG2_E: f64 = std::f64::consts::LOG2_E;
@@ -115,7 +114,7 @@ const EXP_C: [f64; 14] = [
 ];
 
 /// Degree-13 Taylor polynomial of `exp` on `|r| ≤ ln2/2`, Estrin form.
-/// The scalar and array evaluations share this exact association so
+/// The scalar and vector evaluations share this exact association so
 /// they stay bit-identical to each other.
 #[inline(always)]
 fn poly_exp(r: f64) -> f64 {
@@ -157,7 +156,7 @@ const LN_D: [f64; 17] = [
 /// reaches full double precision. Like the `exp` polynomial, the
 /// series is evaluated in Estrin form (independent sub-polynomials
 /// combined by powers of `w⁸`) so the latency chain stays short even
-/// for one lane; the scalar and array evaluations share the exact
+/// for one lane; the scalar and vector evaluations share the exact
 /// association.
 ///
 /// # Examples
@@ -199,97 +198,6 @@ pub fn softplus_sig(t: f64) -> (f64, f64) {
     let sp = if big { t } else { sp };
     let sig_pos = if big { 1.0 } else { 1.0 - q };
     let sig = if t >= 0.0 { sig_pos } else { q };
-    (sp, sig)
-}
-
-/// Array form of [`exp`]: all `K` lanes advance through the range
-/// reduction and the Estrin polynomial together, so each step is one
-/// vector instruction and the polynomial's latency chain is hidden
-/// across lanes.
-///
-/// The per-lane arithmetic repeats the scalar [`exp`] operation for
-/// operation — same reduction, same polynomial association, same
-/// exponent reassembly — so `exp_k([x; K])[l]` is **bit-identical** to
-/// `exp(x)` for every lane. The batched Monte-Carlo engine relies on
-/// this: a die simulated in a K-wide batch must produce the same bits
-/// as the same die simulated alone.
-///
-/// # Examples
-///
-/// ```
-/// let y = rotsv_num::lanes::exp_k([0.0, 1.0]);
-/// assert!((y[1] - std::f64::consts::E).abs() < 1e-14);
-/// ```
-#[inline(always)]
-pub fn exp_k<const K: usize>(x: [f64; K]) -> [f64; K] {
-    let mut n = [0.0; K];
-    let mut r = [0.0; K];
-    for l in 0..K {
-        let xl = clamp_pm60(x[l]);
-        let t = xl * LOG2_E + SHIFT;
-        n[l] = t - SHIFT;
-        r[l] = (xl - n[l] * LN2_HI) - n[l] * LN2_LO;
-    }
-    let c = &EXP_C;
-    let mut y = [0.0; K];
-    for l in 0..K {
-        let rl = r[l];
-        let r2 = rl * rl;
-        let r4 = r2 * r2;
-        let a0 = (c[0] + c[1] * rl) + r2 * (c[2] + c[3] * rl);
-        let a1 = (c[4] + c[5] * rl) + r2 * (c[6] + c[7] * rl);
-        let a2 = (c[8] + c[9] * rl) + r2 * (c[10] + c[11] * rl);
-        let a3 = c[12] + c[13] * rl;
-        let p = a0 + r4 * (a1 + r4 * (a2 + r4 * a3));
-        let ni = n[l] as i64;
-        let scale = f64::from_bits(((ni + 1023) << 52) as u64);
-        y[l] = p * scale;
-    }
-    y
-}
-
-/// Array form of [`ln1p01`]; same domain (`u ∈ [0, 1]`), lanes in
-/// lockstep, each lane bit-identical to the scalar function (same
-/// Estrin association per lane).
-#[inline(always)]
-pub fn ln1p01_k<const K: usize>(u: [f64; K]) -> [f64; K] {
-    let d = &LN_D;
-    let mut y = [0.0; K];
-    for l in 0..K {
-        let w = u[l] / (2.0 + u[l]);
-        let w2 = w * w;
-        let w4 = w2 * w2;
-        let w8 = w4 * w4;
-        let b0 = (d[0] + d[1] * w2) + w4 * (d[2] + d[3] * w2);
-        let b1 = (d[4] + d[5] * w2) + w4 * (d[6] + d[7] * w2);
-        let b2 = (d[8] + d[9] * w2) + w4 * (d[10] + d[11] * w2);
-        let b3 = (d[12] + d[13] * w2) + w4 * (d[14] + d[15] * w2);
-        let s = b0 + w8 * (b1 + w8 * (b2 + w8 * (b3 + w8 * d[16])));
-        y[l] = 2.0 * w * s;
-    }
-    y
-}
-
-/// Array form of [`softplus_sig`]: `(softplus, sigma)` for all `K`
-/// lanes in lockstep. Bit-identical per lane to the scalar function.
-#[inline(always)]
-pub fn softplus_sig_k<const K: usize>(t: [f64; K]) -> ([f64; K], [f64; K]) {
-    let mut ta = [0.0; K];
-    for l in 0..K {
-        ta[l] = -t[l].abs();
-    }
-    let e = exp_k(ta);
-    let ln = ln1p01_k(e);
-    let mut sp = [0.0; K];
-    let mut sig = [0.0; K];
-    for l in 0..K {
-        let q = e[l] / (1.0 + e[l]);
-        let sp0 = max0(t[l]) + ln[l];
-        let big = t[l] > 30.0;
-        sp[l] = if big { t[l] } else { sp0 };
-        let sig_pos = if big { 1.0 } else { 1.0 - q };
-        sig[l] = if t[l] >= 0.0 { sig_pos } else { q };
-    }
     (sp, sig)
 }
 
@@ -496,59 +404,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn array_forms_are_bit_identical_to_scalar() {
-        let mut t = -70.0;
-        while t < 70.0 {
-            let ts = [t, t + 0.011, t + 7.3, t - 3.1];
-            let (sp, sig) = softplus_sig_k(ts);
-            let e = exp_k(ts);
-            for l in 0..4 {
-                let (sp0, sig0) = softplus_sig(ts[l]);
-                assert_eq!(sp[l].to_bits(), sp0.to_bits(), "softplus at {}", ts[l]);
-                assert_eq!(sig[l].to_bits(), sig0.to_bits(), "sigma at {}", ts[l]);
-                assert_eq!(e[l].to_bits(), exp(ts[l]).to_bits(), "exp at {}", ts[l]);
-            }
-            t += 0.391;
-        }
-    }
-
     /// The explicit vector forms must be bit-identical to the scalar
     /// reference at every ISA level the hardware supports — this is the
     /// foundation the dispatched kernels' bit-identity contract rests
     /// on.
     #[test]
     fn vector_forms_are_bit_identical_to_scalar() {
-        use crate::simd::{detected, Level, ScalarLanes, Simd};
+        use crate::simd::{self, LaneCount, LaneKernel, Level, Simd};
 
-        #[inline(always)]
-        unsafe fn sweep<S: Simd>(xs: &[f64], sp: &mut [f64], sig: &mut [f64], ex: &mut [f64]) {
-            let mut i = 0;
-            while i + S::W <= xs.len() {
-                // SAFETY: chunk bounds checked; caller provides the ISA.
-                unsafe {
-                    let t = S::ld(xs.as_ptr().add(i));
-                    let (a, b) = softplus_sig_v::<S>(t);
-                    S::st(sp.as_mut_ptr().add(i), a);
-                    S::st(sig.as_mut_ptr().add(i), b);
-                    S::st(ex.as_mut_ptr().add(i), exp_v::<S>(t));
+        /// Sweeps `xs` through the vector forms in `S::W`-wide chunks and
+        /// reports `S::W`.
+        struct Sweep<'a> {
+            xs: &'a [f64],
+            sp: &'a mut [f64],
+            sig: &'a mut [f64],
+            ex: &'a mut [f64],
+        }
+        impl LaneKernel for Sweep<'_> {
+            type Output = usize;
+            #[inline(always)]
+            unsafe fn run<N: LaneCount, S: Simd>(self, _: N) -> usize {
+                let mut i = 0;
+                while i + S::W <= self.xs.len() {
+                    // SAFETY: chunk bounds checked; `dispatch` provides
+                    // the ISA.
+                    unsafe {
+                        let t = S::ld(self.xs.as_ptr().add(i));
+                        let (a, b) = softplus_sig_v::<S>(t);
+                        S::st(self.sp.as_mut_ptr().add(i), a);
+                        S::st(self.sig.as_mut_ptr().add(i), b);
+                        S::st(self.ex.as_mut_ptr().add(i), exp_v::<S>(t));
+                    }
+                    i += S::W;
                 }
-                i += S::W;
+                S::W
             }
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        fn sweep_avx2(xs: &[f64], sp: &mut [f64], sig: &mut [f64], ex: &mut [f64]) {
-            // SAFETY: inside an avx2 region.
-            unsafe { sweep::<crate::simd::Avx2Lanes>(xs, sp, sig, ex) }
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        fn sweep_avx512(xs: &[f64], sp: &mut [f64], sig: &mut [f64], ex: &mut [f64]) {
-            // SAFETY: inside an avx512f region.
-            unsafe { sweep::<crate::simd::Avx512Lanes>(xs, sp, sig, ex) }
         }
 
         let mut xs: Vec<f64> = Vec::new();
@@ -608,27 +498,24 @@ mod tests {
             }
         };
 
-        let (mut sp, mut sig, mut ex) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        // SAFETY: the scalar arm has no ISA requirements.
-        unsafe { sweep::<ScalarLanes>(&xs, &mut sp, &mut sig, &mut ex) };
-        check("scalar", &sp, &sig, &ex);
-
-        #[cfg(target_arch = "x86_64")]
-        {
-            if detected() >= Level::Avx2 {
-                let (mut sp, mut sig, mut ex) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-                // SAFETY: detection confirmed avx2.
-                unsafe { sweep_avx2(&xs, &mut sp, &mut sig, &mut ex) };
-                check("avx2", &sp, &sig, &ex);
-            }
-            if detected() >= Level::Avx512 {
-                let (mut sp, mut sig, mut ex) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-                // SAFETY: detection confirmed avx512f.
-                unsafe { sweep_avx512(&xs, &mut sp, &mut sig, &mut ex) };
-                check("avx512", &sp, &sig, &ex);
-            }
+        // Eight lanes: every arm a level allows divides them, so the
+        // dispatch runs the level's own arm.
+        let _guard = simd::LEVEL_LOCK.lock().unwrap();
+        let prior = simd::level();
+        for want in [Level::Scalar, Level::Avx2, Level::Avx512] {
+            let level = simd::set_level(want);
+            let (mut sp, mut sig, mut ex) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            let sweep = Sweep {
+                xs: &xs,
+                sp: &mut sp,
+                sig: &mut sig,
+                ex: &mut ex,
+            };
+            let w = simd::dispatch(8, sweep);
+            assert_eq!(w, level.width(), "{} arm", level.name());
+            check(level.name(), &sp, &sig, &ex);
         }
-        let _ = detected();
+        simd::set_level(prior);
     }
 
     #[test]

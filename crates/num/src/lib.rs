@@ -17,9 +17,9 @@
 //!   [`sparse::SolverStats`] work counters), an options-aware
 //!   topology-keyed [`sparse::SymbolicCache`], and a lane-interleaved
 //!   [`sparse::BatchedLu`] for lockstep Monte-Carlo batches,
-//! * [`lanes`] — branch-free elementary functions (`exp`, softplus)
-//!   written so lane loops over them autovectorize, plus explicit
-//!   vector forms generic over a [`simd`] ISA token,
+//! * [`lanes`] — branch-free elementary functions (`exp`, softplus):
+//!   scalar references and the vector forms, generic over a [`simd`]
+//!   ISA token, that the lane kernels use,
 //! * [`simd`] — runtime-dispatched `f64` lane vectors (AVX-512 / AVX2 /
 //!   scalar, detected once per process) that the batched hot kernels
 //!   are written against,

@@ -2,25 +2,36 @@
 //!
 //! The batched Monte-Carlo engine's inner loops (MOSFET model
 //! evaluation, matrix assembly, the `BatchedLu` numeric sweep) iterate
-//! over `K` interleaved lanes. The tree used to pin
+//! over `k` interleaved lanes. The tree used to pin
 //! `-C target-cpu=native` so those loops autovectorized, at the cost of
 //! non-portable binaries; a portable build compiled them to baseline
 //! SSE2 and lost 2–3× of throughput. This module replaces the pin with
 //! explicit wide code paths: an ISA is detected **once** per process via
 //! [`std::arch::is_x86_feature_detected!`], cached in an atomic, and
-//! every kernel dispatches to a monomorphic arm compiled for that ISA.
+//! [`dispatch`] runs every lane kernel on an arm compiled for that ISA.
 //!
 //! # Architecture
 //!
 //! [`Simd`] is a token trait: each implementor ([`Avx512Lanes`],
 //! [`Avx2Lanes`], [`ScalarLanes`]) names a register type `V` holding
 //! [`Simd::W`] lanes of `f64` and provides the primitive operations the
-//! kernels need. Kernels are written once, generic over `S: Simd`, with
-//! `#[inline(always)]`; each call site instantiates them inside small
-//! `#[target_feature(enable = ...)]` wrapper functions so the whole
-//! kernel body — trait ops and any remaining scalar glue — is compiled
-//! with the wide ISA enabled and fully inlined. Dispatch cost is one
-//! relaxed atomic load per kernel call.
+//! kernels need. A kernel is written once, as a [`LaneKernel`] whose
+//! `#[inline(always)]` body is generic over the lane count
+//! ([`LaneCount`]) and the token. This module owns the whole
+//! width-and-ISA decision, in two steps:
+//!
+//! 1. [`dispatch`] picks the count: [`Fixed`] for the widths 1–8, 16,
+//!    32 and 64, so the body compiles with `k` a constant, [`Runtime`]
+//!    for any other. It runs the kernel through [`LaneKernel::at`], one
+//!    function per count;
+//! 2. [`arm`] picks the widest arm whose width divides `k` and that the
+//!    level allows: AVX-512 when 8 | k, AVX2 when 4 | k, else scalar.
+//!
+//! The two wide arms run inside this module's only `#[target_feature]`
+//! wrappers, so the whole kernel body — trait ops and any remaining
+//! scalar glue — is compiled with the wide ISA enabled and fully
+//! inlined. Dispatch costs one jump on `k`, one call and one relaxed
+//! atomic load per kernel call.
 //!
 //! # Bit-identity contract
 //!
@@ -547,12 +558,136 @@ mod x86 {
 #[cfg(target_arch = "x86_64")]
 pub use x86::{Avx2Lanes, Avx512Lanes};
 
+/// The number of interleaved lanes a [`LaneKernel`] runs over: a
+/// [`Fixed`] width carried in the type, or a [`Runtime`] one.
+pub trait LaneCount: Copy + 'static {
+    /// The number of lanes.
+    fn get(self) -> usize;
+}
+
+/// A lane count known at compile time, so a kernel body instantiated
+/// with it sees `k` as a constant. [`dispatch`] uses it for the widths
+/// 1–8, 16, 32 and 64.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed<const K: usize>;
+
+impl<const K: usize> LaneCount for Fixed<K> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        K
+    }
+}
+
+/// A lane count known only at run time: every width outside the
+/// [`Fixed`] set runs the same kernel body with `k` a variable.
+#[derive(Debug, Clone, Copy)]
+pub struct Runtime(pub usize);
+
+impl LaneCount for Runtime {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self.0
+    }
+}
+
+/// A kernel over `k` lane-interleaved values, written once and run by
+/// [`dispatch`] at the lane count and ISA arm it picks.
+pub trait LaneKernel: Sized {
+    /// What the kernel returns.
+    type Output;
+
+    /// Runs the kernel at the lane count `n` on the widest arm ([`arm`]),
+    /// as one function per count.
+    ///
+    /// A kernel that writes into caller slices overrides this with such a
+    /// function that takes those slices as parameters and calls [`arm`].
+    /// Parameters are where the compiler learns that the outputs alias
+    /// nothing the kernel reads; without that, the scalar arm at a small
+    /// fixed count runs its lanes one after another instead of side by
+    /// side in vector registers.
+    #[inline(never)]
+    fn at<N: LaneCount>(self, n: N) -> Self::Output {
+        arm(n, self)
+    }
+
+    /// Runs the kernel over `n.get()` lanes in `S::W`-wide chunks.
+    /// Implementations are `#[inline(always)]` so the body compiles
+    /// inside the arm's `#[target_feature]` region.
+    ///
+    /// # Safety
+    ///
+    /// `S`'s ISA must be available and enabled in the enclosing region,
+    /// and `S::W` must divide `n.get()`; [`arm`] guarantees both.
+    unsafe fn run<N: LaneCount, S: Simd>(self, n: N) -> Self::Output;
+}
+
+/// Runs `kernel` over `k` lanes. This is the only place the lane width
+/// is chosen: a [`Fixed`] count for the widths 1–8, 16, 32 and 64 and a
+/// [`Runtime`] count otherwise, handed to [`LaneKernel::at`].
+pub fn dispatch<L: LaneKernel>(k: usize, kernel: L) -> L::Output {
+    match k {
+        1 => kernel.at(Fixed::<1>),
+        2 => kernel.at(Fixed::<2>),
+        3 => kernel.at(Fixed::<3>),
+        4 => kernel.at(Fixed::<4>),
+        5 => kernel.at(Fixed::<5>),
+        6 => kernel.at(Fixed::<6>),
+        7 => kernel.at(Fixed::<7>),
+        8 => kernel.at(Fixed::<8>),
+        16 => kernel.at(Fixed::<16>),
+        32 => kernel.at(Fixed::<32>),
+        64 => kernel.at(Fixed::<64>),
+        _ => kernel.at(Runtime(k)),
+    }
+}
+
+/// Runs `kernel` at the lane count `n` on the widest arm that divides it
+/// within the active [`level`]: AVX-512 when 8 | k, AVX2 when 4 | k,
+/// else scalar. This is the only place the ISA arm is chosen. Every arm
+/// performs the same IEEE-exact per-lane operations, so the choice never
+/// changes a result bit.
+#[inline(always)]
+pub fn arm<N: LaneCount, L: LaneKernel>(n: N, kernel: L) -> L::Output {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let k = n.get();
+        let level = level();
+        if k.is_multiple_of(8) && level == Level::Avx512 {
+            // SAFETY: `level()` is clamped to detected features.
+            return unsafe { run_avx512(n, kernel) };
+        }
+        if k.is_multiple_of(4) && level >= Level::Avx2 {
+            // SAFETY: `level()` is clamped to detected features.
+            return unsafe { run_avx2(n, kernel) };
+        }
+    }
+    // SAFETY: the scalar arm has no ISA requirements, and W = 1.
+    unsafe { kernel.run::<N, ScalarLanes>(n) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512<N: LaneCount, L: LaneKernel>(n: N, kernel: L) -> L::Output {
+    // SAFETY: the caller verified avx512f and 8 | k; we are in a
+    // matching region.
+    unsafe { kernel.run::<N, Avx512Lanes>(n) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<N: LaneCount, L: LaneKernel>(n: N, kernel: L) -> L::Output {
+    // SAFETY: the caller verified avx2 and 4 | k; we are in a matching
+    // region.
+    unsafe { kernel.run::<N, Avx2Lanes>(n) }
+}
+
+/// Serializes the tests that mutate the process-global level.
+#[cfg(test)]
+pub(crate) static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes the tests that mutate the process-global level.
-    static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn set_level_clamps_to_detected_hardware() {
@@ -563,6 +698,41 @@ mod tests {
         assert_eq!(set_level(Level::Avx2), Level::Avx2.min(det));
         assert_eq!(set_level(Level::Scalar), Level::Scalar);
         assert_eq!(level(), Level::Scalar);
+        set_level(prior);
+    }
+
+    /// `dispatch` owns the whole width-and-ISA decision: for every
+    /// width up to 65 and every level `set_level` can force, it picks a
+    /// fixed count exactly for the listed widths and the widest arm that
+    /// divides the width, never one above the level.
+    #[test]
+    fn dispatch_picks_the_count_and_the_widest_dividing_arm() {
+        /// Reports whether the count is fixed, the count and `S::W`.
+        struct Probe;
+        impl LaneKernel for Probe {
+            type Output = (bool, usize, usize);
+            unsafe fn run<N: LaneCount, S: Simd>(self, n: N) -> Self::Output {
+                let fixed = std::any::TypeId::of::<N>() != std::any::TypeId::of::<Runtime>();
+                (fixed, n.get(), S::W)
+            }
+        }
+        let _guard = LEVEL_LOCK.lock().unwrap();
+        let prior = level();
+        for want in [Level::Scalar, Level::Avx2, Level::Avx512] {
+            let lvl = set_level(want);
+            for k in 1..=65 {
+                let (fixed, n, w) = dispatch(k, Probe);
+                let listed = matches!(k, 1..=8 | 16 | 32 | 64);
+                assert_eq!(fixed, listed, "k = {k}: fixed count");
+                assert_eq!(n, k, "k = {k}: count");
+                let widest = [8, 4, 1]
+                    .into_iter()
+                    .find(|&aw| aw <= lvl.width() && k % aw == 0)
+                    .unwrap();
+                assert_eq!(w, widest, "k = {k} at {}: arm width", lvl.name());
+                assert!(w <= lvl.width(), "k = {k}: arm above {}", lvl.name());
+            }
+        }
         set_level(prior);
     }
 

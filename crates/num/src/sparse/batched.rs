@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use crate::linsolve::SolveError;
-use crate::simd::{self, ScalarLanes, Simd};
+use crate::simd::{self, LaneCount, LaneKernel, Simd};
 
 use super::symbolic::SymbolicLu;
 use super::{SparseMatrix, PIVOT_EPS, PIVOT_GROWTH_LIMIT};
@@ -14,7 +14,7 @@ use super::{SparseMatrix, PIVOT_EPS, PIVOT_GROWTH_LIMIT};
 ///
 /// Storage is lane-interleaved (`values[slot * k + lane]`) so the
 /// per-slot elimination and substitution loops run over contiguous
-/// lanes and autovectorize. All lanes share the permutations, scaling
+/// lanes as SIMD vectors ([`simd::dispatch`]). All lanes share the permutations, scaling
 /// and pivot order of the analysis; when one lane's values make that
 /// order unusable, the batch transparently re-analyzes from the
 /// offending lane — under the same [`AnalyzeOptions`](super::AnalyzeOptions),
@@ -51,7 +51,7 @@ pub struct BatchedLu {
     off_values: Vec<f64>,
     /// `n * k` dense scatter workspace.
     work: Vec<f64>,
-    /// `k` multiplier scratch for the elimination inner loop.
+    /// `k` per-lane multiplier-growth maximum of the row being gathered.
     lrow: Vec<f64>,
     /// `n * k` scratch for the permuted solve.
     xbuf: Vec<f64>,
@@ -161,20 +161,15 @@ impl BatchedLu {
         let mut analyses = 0u64;
         loop {
             let t0 = self.sweep_clock();
-            let swept = match self.k {
-                1 => self.refactor_lanes_k::<1>(pattern, values),
-                2 => self.refactor_lanes_k::<2>(pattern, values),
-                3 => self.refactor_lanes_k::<3>(pattern, values),
-                4 => self.refactor_lanes_k::<4>(pattern, values),
-                5 => self.refactor_lanes_k::<5>(pattern, values),
-                6 => self.refactor_lanes_k::<6>(pattern, values),
-                7 => self.refactor_lanes_k::<7>(pattern, values),
-                8 => self.refactor_lanes_k::<8>(pattern, values),
-                16 => self.refactor_lanes_k::<16>(pattern, values),
-                32 => self.refactor_lanes_k::<32>(pattern, values),
-                64 => self.refactor_lanes_k::<64>(pattern, values),
-                _ => self.refactor_lanes(pattern, values),
-            };
+            let k = self.k;
+            let swept = simd::dispatch(
+                k,
+                RefactorSweep {
+                    lu: self,
+                    pattern,
+                    values,
+                },
+            );
             self.observe_sweep(t0);
             match swept {
                 Ok(()) => return Ok(analyses),
@@ -266,7 +261,7 @@ impl BatchedLu {
     }
 
     /// Scalar Doolittle sweep of a single lane over the strided storage.
-    /// Per-lane operation order matches [`BatchedLu::refactor_lanes`]
+    /// Per-lane operation order matches [`BatchedLu::refactor_sweep_body`]
     /// exactly (scatter row `perm[i]` through the analysis map, eliminate
     /// in-block columns `j < i` in ascending order, gather, pivot check),
     /// so the lane's factors are bit-identical to a full-batch refactor
@@ -326,90 +321,44 @@ impl BatchedLu {
         Ok(())
     }
 
-    /// Monomorphized Doolittle sweep, dispatched to the widest SIMD arm
-    /// the detected ISA supports and `K` is a multiple of. All arms run
-    /// [`BatchedLu::refactor_sweep_body`] — same elimination order,
-    /// IEEE-exact lane-wise ops only — so results are bit-identical
-    /// across dispatch levels and to [`BatchedLu::refactor_lane`].
-    fn refactor_lanes_k<const K: usize>(
-        &mut self,
-        pattern: &SparseMatrix,
-        values: &[f64],
-    ) -> Result<(), (usize, SolveError)> {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use crate::simd::Level;
-            let level = simd::level();
-            if K.is_multiple_of(8) && level == Level::Avx512 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.refactor_sweep_avx512::<K>(pattern, values) };
-            }
-            if K.is_multiple_of(4) && level >= Level::Avx2 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.refactor_sweep_avx2::<K>(pattern, values) };
-            }
-        }
-        // SAFETY: the scalar arm has no ISA requirements.
-        unsafe { self.refactor_sweep_body::<K, ScalarLanes>(pattern, values) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn refactor_sweep_avx512<const K: usize>(
-        &mut self,
-        pattern: &SparseMatrix,
-        values: &[f64],
-    ) -> Result<(), (usize, SolveError)> {
-        // SAFETY: caller verified avx512f; we are in a matching region.
-        unsafe { self.refactor_sweep_body::<K, crate::simd::Avx512Lanes>(pattern, values) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn refactor_sweep_avx2<const K: usize>(
-        &mut self,
-        pattern: &SparseMatrix,
-        values: &[f64],
-    ) -> Result<(), (usize, SolveError)> {
-        // SAFETY: caller verified avx2; we are in a matching region.
-        unsafe { self.refactor_sweep_body::<K, crate::simd::Avx2Lanes>(pattern, values) }
-    }
-
-    /// The Doolittle sweep kernel: `K` lanes in `K / S::W` vector
-    /// chunks. Per-lane arithmetic and ordering are exactly those of
+    /// One Doolittle sweep over all lanes, failing with the first lane
+    /// whose pivot is unusable: `k` lanes in `k / S::W` vector chunks.
+    /// Per-lane arithmetic and ordering are exactly those of
     /// [`BatchedLu::refactor_lane`]; the multiplier-growth maximum is
-    /// accumulated during the L-part gather (one pass, select-form
-    /// max), and the pivot acceptance check stays scalar so error
-    /// classification is identical in every arm.
+    /// accumulated in `lrow` during the L-part gather (one pass,
+    /// select-form max), and the pivot acceptance check stays scalar so
+    /// error classification is identical in every arm.
     ///
     /// # Safety
     ///
-    /// `S`'s ISA must be available and enabled in the enclosing region;
-    /// `K` must be a multiple of `S::W` and equal `self.k`.
+    /// The [`LaneKernel::run`] contract, with `n.get() == self.k`.
     #[inline(always)]
-    unsafe fn refactor_sweep_body<const K: usize, S: Simd>(
+    unsafe fn refactor_sweep_body<N: LaneCount, S: Simd>(
         &mut self,
+        n: N,
         pattern: &SparseMatrix,
         values: &[f64],
     ) -> Result<(), (usize, SolveError)> {
-        debug_assert_eq!(self.k, K);
-        debug_assert_eq!(K % S::W, 0);
-        debug_assert_eq!(values.len(), pattern.nnz() * K);
+        let k = n.get();
+        debug_assert_eq!(self.k, k);
+        debug_assert_eq!(k % S::W, 0);
+        debug_assert_eq!(values.len(), pattern.nnz() * k);
         let sym = Arc::clone(&self.sym);
         let wp = self.work.as_mut_ptr();
         let lup = self.lu_values.as_mut_ptr();
         let offp = self.off_values.as_mut_ptr();
+        let lmp = self.lrow.as_mut_ptr();
         let vp = values.as_ptr();
         // SAFETY (whole body): all indices come from the symbolic
         // analysis, which the constructor sized every buffer against;
-        // chunks stay inside `slot * K + K` because `K % S::W == 0`.
+        // chunks stay inside `slot * k + k` because `k % S::W == 0`.
         unsafe {
             let zero = S::splat(0.0);
             for i in 0..sym.n {
                 let (lo, hi) = (sym.lu_row_ptr[i], sym.lu_row_ptr[i + 1]);
                 for s in lo..hi {
-                    let base = sym.lu_col_idx[s] * K;
-                    for c in (0..K).step_by(S::W) {
+                    let base = sym.lu_col_idx[s] * k;
+                    for c in (0..k).step_by(S::W) {
                         S::st(wp.add(base + c), zero);
                     }
                 }
@@ -418,11 +367,11 @@ impl BatchedLu {
                 let abase = pattern.row_ptr[sym.perm[i]];
                 for (t, q) in (sym.amap_ptr[i]..sym.amap_ptr[i + 1]).enumerate() {
                     let sc = S::splat(sym.amap_scale[q]);
-                    let src = (abase + t) * K;
+                    let src = (abase + t) * k;
                     let dest = sym.amap_dest[q];
-                    let dst = (dest >> 1) * K;
+                    let dst = (dest >> 1) * k;
                     let out = if dest & 1 == 0 { wp } else { offp };
-                    for c in (0..K).step_by(S::W) {
+                    for c in (0..k).step_by(S::W) {
                         let v = S::mul(S::ld(vp.add(src + c)), sc);
                         S::st(out.add(dst + c), v);
                     }
@@ -432,128 +381,56 @@ impl BatchedLu {
                 // a register across the update row).
                 for s in lo..sym.diag_slot[i] {
                     let j = sym.lu_col_idx[s];
-                    let dj = sym.diag_slot[j] * K;
-                    let jb = j * K;
+                    let dj = sym.diag_slot[j] * k;
+                    let jb = j * k;
                     let m_lo = sym.diag_slot[j] + 1;
                     let m_hi = sym.lu_row_ptr[j + 1];
-                    for c in (0..K).step_by(S::W) {
+                    for c in (0..k).step_by(S::W) {
                         let l = S::div(S::ld(wp.add(jb + c)), S::ld(lup.add(dj + c)));
                         S::st(wp.add(jb + c), l);
                         for m in m_lo..m_hi {
-                            let dst = sym.lu_col_idx[m] * K + c;
+                            let dst = sym.lu_col_idx[m] * k + c;
                             let cur = S::ld(wp.add(dst));
                             S::st(
                                 wp.add(dst),
-                                S::sub(cur, S::mul(l, S::ld(lup.add(m * K + c)))),
+                                S::sub(cur, S::mul(l, S::ld(lup.add(m * k + c)))),
                             );
                         }
                     }
                 }
                 // Gather the finished row; the L part accumulates the
-                // per-lane multiplier growth in the same pass.
+                // per-lane multiplier growth in `lrow` in the same pass.
                 let dsl = sym.diag_slot[i];
-                let mut lmax = [0.0f64; K];
-                let lmp = lmax.as_mut_ptr();
+                for c in (0..k).step_by(S::W) {
+                    S::st(lmp.add(c), zero);
+                }
                 for s in lo..dsl {
-                    let src = sym.lu_col_idx[s] * K;
-                    let dst = s * K;
-                    for c in (0..K).step_by(S::W) {
+                    let src = sym.lu_col_idx[s] * k;
+                    let dst = s * k;
+                    for c in (0..k).step_by(S::W) {
                         let v = S::ld(wp.add(src + c));
                         S::st(lup.add(dst + c), v);
-                        let acc = S::ld(lmp.add(c) as *const f64);
+                        let acc = S::ld(lmp.add(c));
                         S::st(lmp.add(c), S::max_sel(S::abs(v), acc));
                     }
                 }
                 for s in dsl..hi {
-                    let src = sym.lu_col_idx[s] * K;
-                    let dst = s * K;
-                    for c in (0..K).step_by(S::W) {
+                    let src = sym.lu_col_idx[s] * k;
+                    let dst = s * k;
+                    for c in (0..k).step_by(S::W) {
                         S::st(lup.add(dst + c), S::ld(wp.add(src + c)));
                     }
                 }
                 // Scalar pivot acceptance, identical in every arm. Reads
                 // go through the same raw pointer as the writes so the
                 // pointer's provenance stays valid for the next row.
-                let dslot = dsl * K;
-                for (lane, &lm) in lmax.iter().enumerate() {
+                let dslot = dsl * k;
+                for lane in 0..k {
+                    let lm = *lmp.add(lane);
                     let piv = (*lup.add(dslot + lane)).abs();
                     if piv <= PIVOT_EPS || !piv.is_finite() || lm > PIVOT_GROWTH_LIMIT {
                         return Err((lane, SolveError::Singular { column: i }));
                     }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One Doolittle sweep over all lanes; fails with the first lane
-    /// whose pivot is unusable.
-    fn refactor_lanes(
-        &mut self,
-        pattern: &SparseMatrix,
-        values: &[f64],
-    ) -> Result<(), (usize, SolveError)> {
-        let sym = &self.sym;
-        let k = self.k;
-        for i in 0..sym.n {
-            let (lo, hi) = (sym.lu_row_ptr[i], sym.lu_row_ptr[i + 1]);
-            for s in lo..hi {
-                let base = sym.lu_col_idx[s] * k;
-                self.work[base..base + k].fill(0.0);
-            }
-            // Scatter row perm[i] of A (all lanes at once) through the
-            // analysis map.
-            let abase = pattern.row_ptr[sym.perm[i]];
-            for (t, q) in (sym.amap_ptr[i]..sym.amap_ptr[i + 1]).enumerate() {
-                let sc = sym.amap_scale[q];
-                let src = (abase + t) * k;
-                let dest = sym.amap_dest[q];
-                let dst = (dest >> 1) * k;
-                if dest & 1 == 0 {
-                    for lane in 0..k {
-                        self.work[dst + lane] = values[src + lane] * sc;
-                    }
-                } else {
-                    for lane in 0..k {
-                        self.off_values[dst + lane] = values[src + lane] * sc;
-                    }
-                }
-            }
-            // Eliminate in-block columns j < i in ascending order, lanes
-            // in lockstep.
-            for s in lo..sym.diag_slot[i] {
-                let j = sym.lu_col_idx[s];
-                let dj = sym.diag_slot[j] * k;
-                for lane in 0..k {
-                    let l = self.work[j * k + lane] / self.lu_values[dj + lane];
-                    self.lrow[lane] = l;
-                    self.work[j * k + lane] = l;
-                }
-                for m in (sym.diag_slot[j] + 1)..sym.lu_row_ptr[j + 1] {
-                    let dst = sym.lu_col_idx[m] * k;
-                    let lum = m * k;
-                    for lane in 0..k {
-                        self.work[dst + lane] -= self.lrow[lane] * self.lu_values[lum + lane];
-                    }
-                }
-            }
-            // Gather the finished row, then check every lane's pivot and
-            // multiplier growth (the slots left of the diagonal hold the
-            // row's L multipliers).
-            for s in lo..hi {
-                let src = sym.lu_col_idx[s] * k;
-                let dst = s * k;
-                self.lu_values[dst..dst + k].copy_from_slice(&self.work[src..src + k]);
-            }
-            let dslot = sym.diag_slot[i] * k;
-            for lane in 0..k {
-                let mut lmax = 0.0f64;
-                for s in lo..sym.diag_slot[i] {
-                    lmax = lmax.max(self.lu_values[s * k + lane].abs());
-                }
-                let piv = self.lu_values[dslot + lane].abs();
-                if piv <= PIVOT_EPS || !piv.is_finite() || lmax > PIVOT_GROWTH_LIMIT {
-                    return Err((lane, SolveError::Singular { column: i }));
                 }
             }
         }
@@ -573,86 +450,38 @@ impl BatchedLu {
             self.sym.n * self.k,
             "lane-interleaved rhs length mismatch"
         );
-        match self.k {
-            1 => self.solve_in_place_k::<1>(b),
-            2 => self.solve_in_place_k::<2>(b),
-            3 => self.solve_in_place_k::<3>(b),
-            4 => self.solve_in_place_k::<4>(b),
-            5 => self.solve_in_place_k::<5>(b),
-            6 => self.solve_in_place_k::<6>(b),
-            7 => self.solve_in_place_k::<7>(b),
-            8 => self.solve_in_place_k::<8>(b),
-            16 => self.solve_in_place_k::<16>(b),
-            32 => self.solve_in_place_k::<32>(b),
-            64 => self.solve_in_place_k::<64>(b),
-            _ => self.solve_in_place_dyn(b),
-        }
+        let k = self.k;
+        simd::dispatch(k, Solve { lu: self, b });
     }
 
-    /// Monomorphized substitution, dispatched like
-    /// [`BatchedLu::refactor_lanes_k`]: each row's lanes accumulate in
-    /// vector registers across the inner loops instead of
-    /// read-modify-write memory traffic per entry. Same operation order
-    /// as the dynamic path, so results are bit-identical.
-    fn solve_in_place_k<const K: usize>(&mut self, b: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use crate::simd::Level;
-            let level = simd::level();
-            if K.is_multiple_of(8) && level == Level::Avx512 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.solve_avx512::<K>(b) };
-            }
-            if K.is_multiple_of(4) && level >= Level::Avx2 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.solve_avx2::<K>(b) };
-            }
-        }
-        // SAFETY: the scalar arm has no ISA requirements.
-        unsafe { self.solve_body::<K, ScalarLanes>(b) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn solve_avx512<const K: usize>(&mut self, b: &mut [f64]) {
-        // SAFETY: caller verified avx512f; we are in a matching region.
-        unsafe { self.solve_body::<K, crate::simd::Avx512Lanes>(b) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn solve_avx2<const K: usize>(&mut self, b: &mut [f64]) {
-        // SAFETY: caller verified avx2; we are in a matching region.
-        unsafe { self.solve_body::<K, crate::simd::Avx2Lanes>(b) }
-    }
-
-    /// The substitution kernel: `K` lanes in `K / S::W` vector chunks,
-    /// accumulators held in registers across each row's inner loop.
+    /// The substitution kernel: `k` lanes in `k / S::W` vector chunks,
+    /// each row's lanes accumulated in vector registers across its inner
+    /// loops instead of read-modify-write memory traffic per entry.
     ///
     /// # Safety
     ///
-    /// `S`'s ISA must be available and enabled in the enclosing region;
-    /// `K` must be a multiple of `S::W` and equal `self.k`.
+    /// The [`LaneKernel::run`] contract, with `n.get() == self.k`.
     #[inline(always)]
-    unsafe fn solve_body<const K: usize, S: Simd>(&mut self, b: &mut [f64]) {
-        debug_assert_eq!(self.k, K);
-        debug_assert_eq!(K % S::W, 0);
-        debug_assert_eq!(b.len(), self.sym.n * K);
+    unsafe fn solve_body<N: LaneCount, S: Simd>(&mut self, n: N, b: &mut [f64]) {
+        let k = n.get();
+        debug_assert_eq!(self.k, k);
+        debug_assert_eq!(k % S::W, 0);
+        debug_assert_eq!(b.len(), self.sym.n * k);
         let sym = Arc::clone(&self.sym);
         let xp = self.xbuf.as_mut_ptr();
         let lup = self.lu_values.as_ptr();
         let offp = self.off_values.as_ptr();
         let bp = b.as_mut_ptr();
         // SAFETY (whole body): indices come from the symbolic analysis
-        // the buffers were sized against; `K % S::W == 0` keeps chunks
+        // the buffers were sized against; `k % S::W == 0` keeps chunks
         // inside each slot's lane group.
         unsafe {
             // Permute and row-scale the right-hand sides.
             for i in 0..sym.n {
                 let r = sym.perm[i];
                 let rs = S::splat(sym.row_scale[r]);
-                for c in (0..K).step_by(S::W) {
-                    S::st(xp.add(i * K + c), S::mul(S::ld(bp.add(r * K + c)), rs));
+                for c in (0..k).step_by(S::W) {
+                    S::st(xp.add(i * k + c), S::mul(S::ld(bp.add(r * k + c)), rs));
                 }
             }
             for bidx in 0..sym.block_ptr.len() - 1 {
@@ -660,39 +489,39 @@ impl BatchedLu {
                 // Subtract the couplings to earlier (already solved)
                 // blocks.
                 for i in bs..be {
-                    for c in (0..K).step_by(S::W) {
-                        let mut acc = S::ld(xp.add(i * K + c));
+                    for c in (0..k).step_by(S::W) {
+                        let mut acc = S::ld(xp.add(i * k + c));
                         for s in sym.off_row_ptr[i]..sym.off_row_ptr[i + 1] {
-                            let col = sym.off_col_idx[s] * K + c;
+                            let col = sym.off_col_idx[s] * k + c;
                             acc =
-                                S::sub(acc, S::mul(S::ld(offp.add(s * K + c)), S::ld(xp.add(col))));
+                                S::sub(acc, S::mul(S::ld(offp.add(s * k + c)), S::ld(xp.add(col))));
                         }
-                        S::st(xp.add(i * K + c), acc);
+                        S::st(xp.add(i * k + c), acc);
                     }
                 }
                 // Forward substitution with unit-diagonal L.
                 for i in bs..be {
-                    for c in (0..K).step_by(S::W) {
-                        let mut acc = S::ld(xp.add(i * K + c));
+                    for c in (0..k).step_by(S::W) {
+                        let mut acc = S::ld(xp.add(i * k + c));
                         for s in sym.lu_row_ptr[i]..sym.diag_slot[i] {
-                            let col = sym.lu_col_idx[s] * K + c;
+                            let col = sym.lu_col_idx[s] * k + c;
                             acc =
-                                S::sub(acc, S::mul(S::ld(lup.add(s * K + c)), S::ld(xp.add(col))));
+                                S::sub(acc, S::mul(S::ld(lup.add(s * k + c)), S::ld(xp.add(col))));
                         }
-                        S::st(xp.add(i * K + c), acc);
+                        S::st(xp.add(i * k + c), acc);
                     }
                 }
                 // Back substitution with U.
                 for i in (bs..be).rev() {
-                    let d = sym.diag_slot[i] * K;
-                    for c in (0..K).step_by(S::W) {
-                        let mut acc = S::ld(xp.add(i * K + c));
+                    let d = sym.diag_slot[i] * k;
+                    for c in (0..k).step_by(S::W) {
+                        let mut acc = S::ld(xp.add(i * k + c));
                         for s in (sym.diag_slot[i] + 1)..sym.lu_row_ptr[i + 1] {
-                            let col = sym.lu_col_idx[s] * K + c;
+                            let col = sym.lu_col_idx[s] * k + c;
                             acc =
-                                S::sub(acc, S::mul(S::ld(lup.add(s * K + c)), S::ld(xp.add(col))));
+                                S::sub(acc, S::mul(S::ld(lup.add(s * k + c)), S::ld(xp.add(col))));
                         }
-                        S::st(xp.add(i * K + c), S::div(acc, S::ld(lup.add(d + c))));
+                        S::st(xp.add(i * k + c), S::div(acc, S::ld(lup.add(d + c))));
                     }
                 }
             }
@@ -700,72 +529,46 @@ impl BatchedLu {
             for j in 0..sym.n {
                 let col = sym.cperm[j];
                 let cs = S::splat(sym.col_scale[col]);
-                for c in (0..K).step_by(S::W) {
-                    S::st(bp.add(col * K + c), S::mul(cs, S::ld(xp.add(j * K + c))));
+                for c in (0..k).step_by(S::W) {
+                    S::st(bp.add(col * k + c), S::mul(cs, S::ld(xp.add(j * k + c))));
                 }
             }
         }
     }
+}
 
-    /// Fallback for lane counts without a monomorphized kernel.
-    fn solve_in_place_dyn(&mut self, b: &mut [f64]) {
-        let sym = &self.sym;
-        let k = self.k;
-        // Permute and row-scale the right-hand sides (all lanes at once).
-        for i in 0..sym.n {
-            let r = sym.perm[i];
-            let rs = sym.row_scale[r];
-            let src = r * k;
-            for lane in 0..k {
-                self.xbuf[i * k + lane] = b[src + lane] * rs;
-            }
+/// [`BatchedLu::refactor_sweep_body`] as a [`LaneKernel`].
+struct RefactorSweep<'a> {
+    lu: &'a mut BatchedLu,
+    pattern: &'a SparseMatrix,
+    values: &'a [f64],
+}
+
+impl LaneKernel for RefactorSweep<'_> {
+    type Output = Result<(), (usize, SolveError)>;
+
+    #[inline(always)]
+    unsafe fn run<N: LaneCount, S: Simd>(self, n: N) -> Self::Output {
+        // SAFETY: forwarded from `dispatch`; `n` is the batch's lane count.
+        unsafe {
+            self.lu
+                .refactor_sweep_body::<N, S>(n, self.pattern, self.values)
         }
-        let x = &mut self.xbuf;
-        for bidx in 0..sym.block_ptr.len() - 1 {
-            let (bs, be) = (sym.block_ptr[bidx], sym.block_ptr[bidx + 1]);
-            // Subtract the couplings to earlier (already solved) blocks.
-            for i in bs..be {
-                for s in sym.off_row_ptr[i]..sym.off_row_ptr[i + 1] {
-                    let c = sym.off_col_idx[s] * k;
-                    let ov = s * k;
-                    for lane in 0..k {
-                        x[i * k + lane] -= self.off_values[ov + lane] * x[c + lane];
-                    }
-                }
-            }
-            // Forward substitution with unit-diagonal L.
-            for i in bs..be {
-                for s in sym.lu_row_ptr[i]..sym.diag_slot[i] {
-                    let c = sym.lu_col_idx[s] * k;
-                    let lus = s * k;
-                    for lane in 0..k {
-                        x[i * k + lane] -= self.lu_values[lus + lane] * x[c + lane];
-                    }
-                }
-            }
-            // Back substitution with U.
-            for i in (bs..be).rev() {
-                for s in (sym.diag_slot[i] + 1)..sym.lu_row_ptr[i + 1] {
-                    let c = sym.lu_col_idx[s] * k;
-                    let lus = s * k;
-                    for lane in 0..k {
-                        x[i * k + lane] -= self.lu_values[lus + lane] * x[c + lane];
-                    }
-                }
-                let d = sym.diag_slot[i] * k;
-                for lane in 0..k {
-                    x[i * k + lane] /= self.lu_values[d + lane];
-                }
-            }
-        }
-        // Undo the column permutation and scaling.
-        for j in 0..sym.n {
-            let c = sym.cperm[j];
-            let cs = sym.col_scale[c];
-            let dst = c * k;
-            for lane in 0..k {
-                b[dst + lane] = cs * x[j * k + lane];
-            }
-        }
+    }
+}
+
+/// [`BatchedLu::solve_body`] as a [`LaneKernel`].
+struct Solve<'a> {
+    lu: &'a mut BatchedLu,
+    b: &'a mut [f64],
+}
+
+impl LaneKernel for Solve<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    unsafe fn run<N: LaneCount, S: Simd>(self, n: N) {
+        // SAFETY: forwarded from `dispatch`; `n` is the batch's lane count.
+        unsafe { self.lu.solve_body::<N, S>(n, self.b) }
     }
 }

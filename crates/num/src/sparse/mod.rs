@@ -47,6 +47,7 @@ pub use stats::SolverStats;
 pub use symbolic::{AnalyzeOptions, OrderingStrategy, SymbolicLu};
 
 use crate::matrix::Matrix;
+use crate::simd::{self, LaneCount, LaneKernel, Simd};
 
 /// Pivots with magnitude below this are treated as numerically singular.
 pub(crate) const PIVOT_EPS: f64 = 1e-300;
@@ -238,9 +239,9 @@ impl SparseMatrix {
     ///
     /// `values` holds the nonzeros lane-interleaved (`values[s*k + lane]`
     /// is slot `s` of lane `lane`), as does `x` per row and `y` on
-    /// output. The lane loop is innermost and branch-free so it
-    /// autovectorizes; this is the residual kernel of the batched
-    /// Newton solver.
+    /// output. The lane loop is innermost and runs on the widest SIMD
+    /// arm the lane count allows ([`simd::dispatch`]); this is the
+    /// residual kernel of the batched Newton solver.
     ///
     /// # Panics
     ///
@@ -254,110 +255,15 @@ impl SparseMatrix {
         );
         assert_eq!(x.len(), self.n * k, "vector length mismatch");
         assert_eq!(y.len(), self.n * k, "output length mismatch");
-        match k {
-            1 => self.mul_vec_lanes_k::<1>(values, x, y),
-            2 => self.mul_vec_lanes_k::<2>(values, x, y),
-            3 => self.mul_vec_lanes_k::<3>(values, x, y),
-            4 => self.mul_vec_lanes_k::<4>(values, x, y),
-            5 => self.mul_vec_lanes_k::<5>(values, x, y),
-            6 => self.mul_vec_lanes_k::<6>(values, x, y),
-            7 => self.mul_vec_lanes_k::<7>(values, x, y),
-            8 => self.mul_vec_lanes_k::<8>(values, x, y),
-            16 => self.mul_vec_lanes_k::<16>(values, x, y),
-            32 => self.mul_vec_lanes_k::<32>(values, x, y),
-            64 => self.mul_vec_lanes_k::<64>(values, x, y),
-            _ => self.mul_vec_lanes_dyn(values, k, x, y),
-        }
-    }
-
-    /// Monomorphized body of [`SparseMatrix::mul_vec_lanes_into`],
-    /// dispatched to the widest SIMD arm `K` is a multiple of: the
-    /// per-row accumulator lives in vector registers.
-    fn mul_vec_lanes_k<const K: usize>(&self, values: &[f64], x: &[f64], y: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use crate::simd::{self, Level};
-            let level = simd::level();
-            if K.is_multiple_of(8) && level == Level::Avx512 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.mul_vec_lanes_avx512::<K>(values, x, y) };
-            }
-            if K.is_multiple_of(4) && level >= Level::Avx2 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.mul_vec_lanes_avx2::<K>(values, x, y) };
-            }
-        }
-        // SAFETY: the scalar arm has no ISA requirements.
-        unsafe { self.mul_vec_lanes_body::<K, crate::simd::ScalarLanes>(values, x, y) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn mul_vec_lanes_avx512<const K: usize>(&self, values: &[f64], x: &[f64], y: &mut [f64]) {
-        // SAFETY: caller verified avx512f; we are in a matching region.
-        unsafe { self.mul_vec_lanes_body::<K, crate::simd::Avx512Lanes>(values, x, y) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn mul_vec_lanes_avx2<const K: usize>(&self, values: &[f64], x: &[f64], y: &mut [f64]) {
-        // SAFETY: caller verified avx2; we are in a matching region.
-        unsafe { self.mul_vec_lanes_body::<K, crate::simd::Avx2Lanes>(values, x, y) }
-    }
-
-    /// The SpMV kernel: `K` lanes in `K / S::W` vector chunks, per-lane
-    /// accumulation order identical to the dynamic fallback (ascending
-    /// slots), so results are bit-identical across arms.
-    ///
-    /// # Safety
-    ///
-    /// `S`'s ISA must be available and enabled in the enclosing region;
-    /// `K` must be a multiple of `S::W` and match the interleave factor
-    /// of `values`/`x`/`y` (checked by the public entry point).
-    #[inline(always)]
-    unsafe fn mul_vec_lanes_body<const K: usize, S: crate::simd::Simd>(
-        &self,
-        values: &[f64],
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        debug_assert_eq!(K % S::W, 0);
-        let vp = values.as_ptr();
-        let xpt = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        // SAFETY (whole body): slot/row indices are bounds the public
-        // entry point asserted; chunks stay inside each lane group.
-        unsafe {
-            for i in 0..self.n {
-                for c in (0..K).step_by(S::W) {
-                    let mut acc = S::splat(0.0);
-                    for s in self.row_ptr[i]..self.row_ptr[i + 1] {
-                        let col = self.col_idx[s];
-                        acc = S::add(
-                            acc,
-                            S::mul(S::ld(vp.add(s * K + c)), S::ld(xpt.add(col * K + c))),
-                        );
-                    }
-                    S::st(yp.add(i * K + c), acc);
-                }
-            }
-        }
-    }
-
-    /// Fallback for lane counts without a monomorphized kernel.
-    fn mul_vec_lanes_dyn(&self, values: &[f64], k: usize, x: &[f64], y: &mut [f64]) {
-        for i in 0..self.n {
-            let yi = &mut y[i * k..(i + 1) * k];
-            yi.fill(0.0);
-            for s in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let col = self.col_idx[s];
-                let vs = &values[s * k..(s + 1) * k];
-                let xs = &x[col * k..(col + 1) * k];
-                for lane in 0..k {
-                    yi[lane] += vs[lane] * xs[lane];
-                }
-            }
-        }
+        simd::dispatch(
+            k,
+            MulVecLanes {
+                a: self,
+                values,
+                x,
+                y,
+            },
+        );
     }
 
     /// Densifies into a [`Matrix`] (for tests and reference solves).
@@ -378,6 +284,69 @@ impl SparseMatrix {
         let hi = self.row_ptr[i + 1];
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
+}
+
+/// The lane-batched SpMV as a [`LaneKernel`]: `k` lanes in `k / S::W`
+/// vector chunks, each lane accumulating its row in ascending slot
+/// order, so results are bit-identical across arms and lane counts.
+struct MulVecLanes<'a> {
+    a: &'a SparseMatrix,
+    values: &'a [f64],
+    x: &'a [f64],
+    y: &'a mut [f64],
+}
+
+impl LaneKernel for MulVecLanes<'_> {
+    type Output = ();
+
+    fn at<N: LaneCount>(self, n: N) {
+        mul_vec_lanes_at(n, self.a, self.values, self.x, self.y);
+    }
+
+    /// # Safety
+    ///
+    /// The [`LaneKernel::run`] contract; `n.get()` must match the
+    /// interleave factor of `values`/`x`/`y` (checked by
+    /// [`SparseMatrix::mul_vec_lanes_into`]).
+    #[inline(always)]
+    unsafe fn run<N: LaneCount, S: Simd>(self, n: N) {
+        let k = n.get();
+        debug_assert_eq!(k % S::W, 0);
+        let a = self.a;
+        let vp = self.values.as_ptr();
+        let xpt = self.x.as_ptr();
+        let yp = self.y.as_mut_ptr();
+        // SAFETY (whole body): slot/row indices are bounds the public
+        // entry point asserted; chunks stay inside each lane group.
+        unsafe {
+            for i in 0..a.n {
+                for c in (0..k).step_by(S::W) {
+                    let mut acc = S::splat(0.0);
+                    for s in a.row_ptr[i]..a.row_ptr[i + 1] {
+                        let col = a.col_idx[s];
+                        acc = S::add(
+                            acc,
+                            S::mul(S::ld(vp.add(s * k + c)), S::ld(xpt.add(col * k + c))),
+                        );
+                    }
+                    S::st(yp.add(i * k + c), acc);
+                }
+            }
+        }
+    }
+}
+
+/// [`MulVecLanes`] at one lane count, its slices as parameters (see
+/// [`LaneKernel::at`]).
+#[inline(never)]
+fn mul_vec_lanes_at<N: LaneCount>(
+    n: N,
+    a: &SparseMatrix,
+    values: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    simd::arm(n, MulVecLanes { a, values, x, y });
 }
 
 #[cfg(test)]

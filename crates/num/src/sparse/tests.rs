@@ -500,9 +500,10 @@ fn batched_lu_matches_per_lane_scalar_lu() {
     }
 }
 
-/// Every monomorphized lane width (and one dynamic-fallback width)
-/// must produce the same solutions: the dispatch arm is a codegen
-/// choice, not a numerical one.
+/// Fixed lane widths and run-time ones (11, 12 and 24, which reach the
+/// scalar, AVX2 and AVX-512 arms of the run-time body) must produce the
+/// same solutions: the dispatch arm is a codegen choice, not a
+/// numerical one.
 #[test]
 fn batched_lu_widths_match_per_lane_scalar_lu() {
     let n = 6;
@@ -517,7 +518,7 @@ fn batched_lu_widths_match_per_lane_scalar_lu() {
     let a = SparseMatrix::from_triplets(n, &t);
     let sym = Arc::new(SymbolicLu::analyze(&a).unwrap());
     let b: Vec<f64> = (0..n).map(|i| i as f64 - 2.5).collect();
-    for k in [1usize, 2, 4, 8, 16, 11] {
+    for k in [1usize, 2, 4, 8, 12, 16, 24, 11] {
         let scale: Vec<f64> = (0..k).map(|l| 1.0 + 0.03 * l as f64).collect();
         let mut vals = Vec::with_capacity(a.nnz() * k);
         for s in 0..a.nnz() {

@@ -51,8 +51,8 @@
 //! element values, device-bank parameters and factorization flags are
 //! re-seeded from the incoming die — so lanes never idle while work
 //! remains. [`transient_queue`] is the same session over a slice.
-//! Occupancy is observed per super-iteration in the
-//! `mc.batch_occupancy` histogram, and the
+//! In sessions of more than one lane, occupancy is observed per
+//! super-iteration in the `mc.batch_occupancy` histogram, and the
 //! `mc.dt_drag` histogram records, per accepted lane-step, the ratio of
 //! the lane's accepted `dt` to the smallest `dt` among co-resident busy
 //! lanes — the slow-lane drag a lockstep grid would have imposed (the
@@ -86,7 +86,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rotsv_num::linsolve::SolveError;
-use rotsv_num::simd::{ScalarLanes, Simd};
+use rotsv_num::simd::{self, LaneCount, LaneKernel, Simd};
 use rotsv_num::sparse::{
     AnalyzeOptions, BatchedLu, SolverStats, SparseMatrix, SymbolicCache, SymbolicLu,
 };
@@ -260,8 +260,6 @@ struct BatchWorkspace {
     refactor_mask: Vec<bool>,
     /// `n * k` residual scratch.
     resid: Vec<f64>,
-    /// `k` per-terminal rhs scratch.
-    rhs: Vec<f64>,
     /// Per-lane work counters of the die seated in each lane, moved out
     /// with its record when it retires.
     stats: Vec<SolverStats>,
@@ -435,7 +433,6 @@ impl BatchWorkspace {
             factored_once: vec![false; k],
             refactor_mask: vec![false; k],
             resid: vec![0.0; n * k],
-            rhs: vec![0.0; k],
             stats: vec![SolverStats::default(); k],
             session: rotsv_obs::next_session(),
         })
@@ -499,39 +496,11 @@ impl BatchWorkspace {
         }
     }
 
-    /// Adds per-lane values into one CSR slot.
-    #[inline]
-    fn add_lanes(values: &mut [f64], k: usize, slot: usize, g: &[f64], sign: f64) {
-        let dst = &mut values[slot * k..(slot + 1) * k];
-        for lane in 0..k {
-            dst[lane] += sign * g[lane];
-        }
-    }
-
-    /// Stamps a two-terminal conductance (per-lane values `g`) in the
-    /// [`stamp_coords`] slot order; returns the advanced cursor.
-    fn stamp_conductance(&mut self, mut cursor: usize, a: NodeId, b: NodeId, g: &[f64]) -> usize {
-        let k = self.k;
-        match (row_of(a), row_of(b)) {
-            (Some(_), Some(_)) => {
-                Self::add_lanes(&mut self.values, k, self.slots[cursor], g, 1.0);
-                Self::add_lanes(&mut self.values, k, self.slots[cursor + 1], g, 1.0);
-                Self::add_lanes(&mut self.values, k, self.slots[cursor + 2], g, -1.0);
-                Self::add_lanes(&mut self.values, k, self.slots[cursor + 3], g, -1.0);
-                cursor += 4;
-            }
-            (Some(_), None) | (None, Some(_)) => {
-                Self::add_lanes(&mut self.values, k, self.slots[cursor], g, 1.0);
-                cursor += 1;
-            }
-            (None, None) => {}
-        }
-        cursor
-    }
-
-    /// Dispatches to the monomorphized assembly for the common lane
-    /// counts; the dynamic body is the fallback (and the reference: each
-    /// pair of arms performs bit-identical per-lane arithmetic).
+    /// Assembles all lanes at the interleaved iterate `x`, per-lane times
+    /// `t[lane]`, with each capacitor's Norton companion read from
+    /// `companions` (always companion mode: a batched run is always a
+    /// transient). Idle lanes are stamped at their frozen state — their
+    /// values stay finite and are never solved or factored.
     fn assemble(
         &mut self,
         seated: &dyn LaneCircuits,
@@ -539,109 +508,52 @@ impl BatchWorkspace {
         t: &[f64],
         companions: &Companions,
     ) {
-        match self.k {
-            1 => self.assemble_k::<1>(seated, x, t, companions),
-            2 => self.assemble_k::<2>(seated, x, t, companions),
-            3 => self.assemble_k::<3>(seated, x, t, companions),
-            4 => self.assemble_k::<4>(seated, x, t, companions),
-            5 => self.assemble_k::<5>(seated, x, t, companions),
-            6 => self.assemble_k::<6>(seated, x, t, companions),
-            7 => self.assemble_k::<7>(seated, x, t, companions),
-            8 => self.assemble_k::<8>(seated, x, t, companions),
-            16 => self.assemble_k::<16>(seated, x, t, companions),
-            32 => self.assemble_k::<32>(seated, x, t, companions),
-            64 => self.assemble_k::<64>(seated, x, t, companions),
-            _ => self.assemble_dyn(seated, x, t, companions),
-        }
+        let k = self.k;
+        simd::dispatch(
+            k,
+            Assemble {
+                ws: self,
+                seated,
+                x,
+                t,
+                companions,
+            },
+        );
     }
 
-    /// Monomorphized assembly for `K == self.k`: dispatches the lane
-    /// sweeps to the widest SIMD arm `K` is a multiple of. Identical
-    /// stamp order and per-lane arithmetic to
-    /// [`BatchWorkspace::assemble_dyn`] on every arm, so the dispatch
-    /// decision never changes a transient.
-    fn assemble_k<const K: usize>(
-        &mut self,
-        seated: &dyn LaneCircuits,
-        x: &[f64],
-        t: &[f64],
-        companions: &Companions,
-    ) {
-        debug_assert_eq!(self.k, K);
-        #[cfg(target_arch = "x86_64")]
-        {
-            use rotsv_num::simd::{self, Level};
-            let level = simd::level();
-            if K.is_multiple_of(8) && level == Level::Avx512 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.assemble_avx512::<K>(seated, x, t, companions) };
-            }
-            if K.is_multiple_of(4) && level >= Level::Avx2 {
-                // SAFETY: `level()` is clamped to detected features.
-                return unsafe { self.assemble_avx2::<K>(seated, x, t, companions) };
-            }
-        }
-        // SAFETY: the scalar arm has no ISA requirements.
-        unsafe { self.assemble_body::<K, ScalarLanes>(seated, x, t, companions) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn assemble_avx512<const K: usize>(
-        &mut self,
-        seated: &dyn LaneCircuits,
-        x: &[f64],
-        t: &[f64],
-        companions: &Companions,
-    ) {
-        // SAFETY: caller verified avx512f; we are in a matching region.
-        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx512Lanes>(seated, x, t, companions) }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn assemble_avx2<const K: usize>(
-        &mut self,
-        seated: &dyn LaneCircuits,
-        x: &[f64],
-        t: &[f64],
-        companions: &Companions,
-    ) {
-        // SAFETY: caller verified avx2; we are in a matching region.
-        unsafe { self.assemble_body::<K, rotsv_num::simd::Avx2Lanes>(seated, x, t, companions) }
-    }
-
-    /// The assembly sweep, generic over the ISA token. Each lane is
-    /// evaluated at its own time `t[lane]` (lanes step asynchronously);
-    /// waveform evaluation stays scalar (call-bearing), the value/rhs
-    /// lane loops, the capacitor companions' included, run in `K / S::W`
-    /// vector chunks.
+    /// The assembly sweep, generic over the lane count and the ISA
+    /// token. Each lane is evaluated at its own time `t[lane]` (lanes
+    /// step asynchronously); waveform evaluation stays scalar
+    /// (call-bearing), the value/rhs lane loops, the capacitor
+    /// companions' included, run in `k / S::W` vector chunks.
     ///
     /// # Safety
     ///
-    /// `S`'s ISA must be available and enabled in the enclosing region;
-    /// `K` must be a multiple of `S::W` and equal `self.k`.
+    /// The [`LaneKernel::run`] contract, with `n.get() == self.k`.
     #[inline(always)]
-    unsafe fn assemble_body<const K: usize, S: Simd>(
+    unsafe fn assemble_body<N: LaneCount, S: Simd>(
         &mut self,
+        n: N,
         seated: &dyn LaneCircuits,
         x: &[f64],
         t: &[f64],
         companions: &Companions,
     ) {
-        debug_assert_eq!(K % S::W, 0);
+        let k = n.get();
+        debug_assert_eq!(self.k, k);
+        debug_assert_eq!(k % S::W, 0);
         self.values.fill(0.0);
         self.b.fill(0.0);
         let mut cursor = 0usize;
-        // SAFETY (lane chunks throughout): every `slot * K` / `row * K`
-        // group is K f64s inside `self.values` / `self.b`, sized at
+        // SAFETY (lane chunks throughout): every `slot * k` / `row * k`
+        // group is k f64s inside `self.values` / `self.b`, sized at
         // construction; chunks are W-aligned within a group.
         unsafe {
             let gmin = S::splat(self.gmin);
             for _ in 0..self.n_node_unknowns {
                 let slot = self.slots[cursor];
-                let dst = self.values.as_mut_ptr().add(slot * K);
-                for c in (0..K).step_by(S::W) {
+                let dst = self.values.as_mut_ptr().add(slot * k);
+                for c in (0..k).step_by(S::W) {
                     S::st(dst.add(c), S::add(S::ld(dst.add(c)), gmin));
                 }
                 cursor += 1;
@@ -654,25 +566,25 @@ impl BatchWorkspace {
             match elem {
                 BatchElem::Resistor { a, b, g } => {
                     // SAFETY: propagated from the caller.
-                    cursor = unsafe { self.stamp_conductance_body::<K, S>(cursor, *a, *b, g) };
+                    cursor = unsafe { self.stamp_conductance_body::<N, S>(n, cursor, *a, *b, g) };
                 }
                 BatchElem::Capacitor { a, b } => {
-                    let lanes = cap_idx * K..(cap_idx + 1) * K;
+                    let lanes = cap_idx * k..(cap_idx + 1) * k;
                     let geq = &companions.geq[lanes.clone()];
                     let ip = companions.ieq[lanes].as_ptr();
                     // SAFETY: propagated from the caller; `ip` points at
-                    // this capacitor's K contiguous `ieq` lanes.
+                    // this capacitor's k contiguous `ieq` lanes.
                     unsafe {
-                        cursor = self.stamp_conductance_body::<K, S>(cursor, *a, *b, geq);
+                        cursor = self.stamp_conductance_body::<N, S>(n, cursor, *a, *b, geq);
                         if let Some(ra) = row_of(*a) {
-                            let dst = self.b.as_mut_ptr().add(ra * K);
-                            for c in (0..K).step_by(S::W) {
+                            let dst = self.b.as_mut_ptr().add(ra * k);
+                            for c in (0..k).step_by(S::W) {
                                 S::st(dst.add(c), S::sub(S::ld(dst.add(c)), S::ld(ip.add(c))));
                             }
                         }
                         if let Some(rb) = row_of(*b) {
-                            let dst = self.b.as_mut_ptr().add(rb * K);
-                            for c in (0..K).step_by(S::W) {
+                            let dst = self.b.as_mut_ptr().add(rb * k);
+                            for c in (0..k).step_by(S::W) {
                                 S::st(dst.add(c), S::add(S::ld(dst.add(c)), S::ld(ip.add(c))));
                             }
                         }
@@ -691,8 +603,8 @@ impl BatchWorkspace {
                         let one = S::splat(1.0);
                         if row_of(*pos).is_some() {
                             for s in [self.slots[cursor], self.slots[cursor + 1]] {
-                                let dst = self.values.as_mut_ptr().add(s * K);
-                                for c in (0..K).step_by(S::W) {
+                                let dst = self.values.as_mut_ptr().add(s * k);
+                                for c in (0..k).step_by(S::W) {
                                     S::st(dst.add(c), S::add(S::ld(dst.add(c)), one));
                                 }
                             }
@@ -700,227 +612,13 @@ impl BatchWorkspace {
                         }
                         if row_of(*neg).is_some() {
                             for s in [self.slots[cursor], self.slots[cursor + 1]] {
-                                let dst = self.values.as_mut_ptr().add(s * K);
-                                for c in (0..K).step_by(S::W) {
+                                let dst = self.values.as_mut_ptr().add(s * k);
+                                for c in (0..k).step_by(S::W) {
                                     S::st(dst.add(c), S::sub(S::ld(dst.add(c)), one));
                                 }
                             }
                             cursor += 2;
                         }
-                    }
-                    for (lane, wave) in waves.iter().enumerate() {
-                        self.b[rb * K + lane] = wave.value(t[lane]);
-                    }
-                }
-                BatchElem::ISource { from, to, waves } => {
-                    for (lane, wave) in waves.iter().enumerate() {
-                        let i = wave.value(t[lane]);
-                        if let Some(rf) = row_of(*from) {
-                            self.b[rf * K + lane] -= i;
-                        }
-                        if let Some(rt) = row_of(*to) {
-                            self.b[rt * K + lane] += i;
-                        }
-                    }
-                }
-                BatchElem::Device(di) => {
-                    // SAFETY: propagated from the caller.
-                    cursor = unsafe { self.stamp_device_body::<K, S>(seated, ei, *di, x, cursor) };
-                }
-            }
-        }
-        self.elems = elems;
-        debug_assert_eq!(cursor, self.slots.len(), "stamp replay out of sync");
-    }
-
-    /// Two-terminal conductance stamp, vector-chunked (see
-    /// [`BatchWorkspace::stamp_conductance`]). The `sign * g` multiply
-    /// matches the dynamic body (`-1.0 * g`, not a sign-bit flip).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`BatchWorkspace::assemble_body`].
-    #[inline(always)]
-    unsafe fn stamp_conductance_body<const K: usize, S: Simd>(
-        &mut self,
-        mut cursor: usize,
-        a: NodeId,
-        b: NodeId,
-        g: &[f64],
-    ) -> usize {
-        let g = &g[..K];
-        let gp = g.as_ptr();
-        // SAFETY: see the lane-chunk note in `assemble_body`.
-        unsafe {
-            match (row_of(a), row_of(b)) {
-                (Some(_), Some(_)) => {
-                    for (off, sign) in [(0, 1.0), (1, 1.0), (2, -1.0), (3, -1.0)] {
-                        let sv = S::splat(sign);
-                        let dst = self.values.as_mut_ptr().add(self.slots[cursor + off] * K);
-                        for c in (0..K).step_by(S::W) {
-                            let add = S::mul(sv, S::ld(gp.add(c)));
-                            S::st(dst.add(c), S::add(S::ld(dst.add(c)), add));
-                        }
-                    }
-                    cursor += 4;
-                }
-                (Some(_), None) | (None, Some(_)) => {
-                    let dst = self.values.as_mut_ptr().add(self.slots[cursor] * K);
-                    for c in (0..K).step_by(S::W) {
-                        S::st(dst.add(c), S::add(S::ld(dst.add(c)), S::ld(gp.add(c))));
-                    }
-                    cursor += 1;
-                }
-                (None, None) => {}
-            }
-        }
-        cursor
-    }
-
-    /// Device stamp: gather, evaluate, Norton-accumulate with the
-    /// per-terminal right-hand side held in a vector register per chunk.
-    /// The `tj` accumulation order per lane matches the dynamic body
-    /// (chunk-outer, `tj`-inner; lanes are independent). Rows the device
-    /// declares dead are skipped (see [`BatchWorkspace::stamp_device`]).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`BatchWorkspace::assemble_body`].
-    #[inline(always)]
-    unsafe fn stamp_device_body<const K: usize, S: Simd>(
-        &mut self,
-        seated: &dyn LaneCircuits,
-        elem_idx: usize,
-        dev_idx: usize,
-        x: &[f64],
-        mut cursor: usize,
-    ) -> usize {
-        let dev = &mut self.devices[dev_idx];
-        let nt = dev.nodes.len();
-        let vbuf = &mut self.vbuf[..nt * K];
-        let cbuf = &mut self.cbuf[..nt * K];
-        let jbuf = &mut self.jbuf[..nt * nt * K];
-        for (ti, &node) in dev.nodes.iter().enumerate() {
-            match row_of(node) {
-                Some(r) => vbuf[ti * K..(ti + 1) * K].copy_from_slice(&x[r * K..(r + 1) * K]),
-                None => vbuf[ti * K..(ti + 1) * K].fill(0.0),
-            }
-        }
-        dev.eval(seated, elem_idx, K, vbuf, cbuf, jbuf);
-        let live = dev.kind.live_rows();
-        let row_slots = dev.nodes.iter().filter(|&&n| row_of(n).is_some()).count();
-        let cbp = cbuf.as_ptr();
-        let jbp = jbuf.as_ptr();
-        let vbp = vbuf.as_ptr();
-        let vp = self.values.as_mut_ptr();
-        let bp = self.b.as_mut_ptr();
-        for (ti, &nk_node) in dev.nodes.iter().enumerate() {
-            let Some(rk) = row_of(nk_node) else { continue };
-            if !row_live(live, ti) {
-                cursor += row_slots;
-                continue;
-            }
-            // Each chunk replays the `tj` sweep with its own cursor so
-            // every (ti, tj) slot is stamped exactly once per chunk.
-            let cursor_ti = cursor;
-            // SAFETY: see the lane-chunk note in `assemble_body`; cbuf /
-            // jbuf / vbuf hold nt·K / nt²·K / nt·K f64s.
-            unsafe {
-                for c in (0..K).step_by(S::W) {
-                    let mut cur = cursor_ti;
-                    let mut rhs = S::neg(S::ld(cbp.add(ti * K + c)));
-                    for (tj, &nj_node) in dev.nodes.iter().enumerate() {
-                        let jrow = S::ld(jbp.add((ti * nt + tj) * K + c));
-                        rhs = S::add(rhs, S::mul(jrow, S::ld(vbp.add(tj * K + c))));
-                        if row_of(nj_node).is_some() {
-                            let slot = self.slots[cur];
-                            cur += 1;
-                            let dst = vp.add(slot * K + c);
-                            S::st(dst, S::add(S::ld(dst), jrow));
-                        }
-                    }
-                    let dst = bp.add(rk * K + c);
-                    S::st(dst, S::add(S::ld(dst), rhs));
-                    cursor = cur;
-                }
-            }
-        }
-        cursor
-    }
-
-    /// Assembles all lanes at the interleaved iterate `x`, per-lane times
-    /// `t[lane]`, with each capacitor's Norton companion read from
-    /// `companions` (always companion mode: a batched run is always a
-    /// transient). Idle lanes are stamped at their frozen state — their
-    /// values stay finite and are never solved or factored.
-    // Lane loops deliberately index several parallel arrays by `lane`;
-    // the iterator forms clippy suggests obscure that symmetry.
-    #[allow(clippy::needless_range_loop)]
-    fn assemble_dyn(
-        &mut self,
-        seated: &dyn LaneCircuits,
-        x: &[f64],
-        t: &[f64],
-        companions: &Companions,
-    ) {
-        let k = self.k;
-        self.values.fill(0.0);
-        self.b.fill(0.0);
-        let mut cursor = 0usize;
-        for _ in 0..self.n_node_unknowns {
-            let slot = self.slots[cursor];
-            let dst = &mut self.values[slot * k..(slot + 1) * k];
-            for lane in 0..k {
-                dst[lane] += self.gmin;
-            }
-            cursor += 1;
-        }
-        let mut cap_idx = 0usize;
-        // Move the element list out so `self` stays borrowable.
-        let elems = std::mem::take(&mut self.elems);
-        for (ei, elem) in elems.iter().enumerate() {
-            match elem {
-                BatchElem::Resistor { a, b, g } => {
-                    cursor = self.stamp_conductance(cursor, *a, *b, g);
-                }
-                BatchElem::Capacitor { a, b } => {
-                    let lanes = cap_idx * k..(cap_idx + 1) * k;
-                    cursor = self.stamp_conductance(cursor, *a, *b, &companions.geq[lanes.clone()]);
-                    let ieq = &companions.ieq[lanes];
-                    if let Some(ra) = row_of(*a) {
-                        for lane in 0..k {
-                            self.b[ra * k + lane] -= ieq[lane];
-                        }
-                    }
-                    if let Some(rb) = row_of(*b) {
-                        for lane in 0..k {
-                            self.b[rb * k + lane] += ieq[lane];
-                        }
-                    }
-                    cap_idx += 1;
-                }
-                BatchElem::VSource {
-                    pos,
-                    neg,
-                    branch,
-                    waves,
-                } => {
-                    let rb = self.n_node_unknowns + branch;
-                    if row_of(*pos).is_some() {
-                        for s in [self.slots[cursor], self.slots[cursor + 1]] {
-                            for lane in 0..k {
-                                self.values[s * k + lane] += 1.0;
-                            }
-                        }
-                        cursor += 2;
-                    }
-                    if row_of(*neg).is_some() {
-                        for s in [self.slots[cursor], self.slots[cursor + 1]] {
-                            for lane in 0..k {
-                                self.values[s * k + lane] -= 1.0;
-                            }
-                        }
-                        cursor += 2;
                     }
                     for (lane, wave) in waves.iter().enumerate() {
                         self.b[rb * k + lane] = wave.value(t[lane]);
@@ -938,7 +636,9 @@ impl BatchWorkspace {
                     }
                 }
                 BatchElem::Device(di) => {
-                    cursor = self.stamp_device(seated, ei, *di, x, cursor);
+                    // SAFETY: propagated from the caller.
+                    cursor =
+                        unsafe { self.stamp_device_body::<N, S>(n, seated, ei, *di, x, cursor) };
                 }
             }
         }
@@ -946,7 +646,56 @@ impl BatchWorkspace {
         debug_assert_eq!(cursor, self.slots.len(), "stamp replay out of sync");
     }
 
-    /// Evaluates and stamps one device slot across all lanes.
+    /// Stamps a two-terminal conductance (per-lane values `g`) in the
+    /// [`stamp_coords`] slot order, vector-chunked; returns the advanced
+    /// cursor.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`BatchWorkspace::assemble_body`].
+    #[inline(always)]
+    unsafe fn stamp_conductance_body<N: LaneCount, S: Simd>(
+        &mut self,
+        n: N,
+        mut cursor: usize,
+        a: NodeId,
+        b: NodeId,
+        g: &[f64],
+    ) -> usize {
+        let k = n.get();
+        let g = &g[..k];
+        let gp = g.as_ptr();
+        // SAFETY: see the lane-chunk note in `assemble_body`.
+        unsafe {
+            match (row_of(a), row_of(b)) {
+                (Some(_), Some(_)) => {
+                    for (off, sign) in [(0, 1.0), (1, 1.0), (2, -1.0), (3, -1.0)] {
+                        let sv = S::splat(sign);
+                        let dst = self.values.as_mut_ptr().add(self.slots[cursor + off] * k);
+                        for c in (0..k).step_by(S::W) {
+                            let add = S::mul(sv, S::ld(gp.add(c)));
+                            S::st(dst.add(c), S::add(S::ld(dst.add(c)), add));
+                        }
+                    }
+                    cursor += 4;
+                }
+                (Some(_), None) | (None, Some(_)) => {
+                    let dst = self.values.as_mut_ptr().add(self.slots[cursor] * k);
+                    for c in (0..k).step_by(S::W) {
+                        S::st(dst.add(c), S::add(S::ld(dst.add(c)), S::ld(gp.add(c))));
+                    }
+                    cursor += 1;
+                }
+                (None, None) => {}
+            }
+        }
+        cursor
+    }
+
+    /// Evaluates and stamps one device slot across all lanes: gather,
+    /// evaluate, then Norton-accumulate (G on the LHS, `G·v0 − I0` on the
+    /// RHS) with the per-terminal right-hand side held in a vector
+    /// register per chunk, `tj` ascending per lane.
     ///
     /// Rows the device declares dead ([`BatchedDeviceEval::live_rows`])
     /// are skipped: the cursor steps past their slots instead. This is
@@ -960,24 +709,26 @@ impl BatchWorkspace {
     /// have left its bits as they were. The sparsity pattern, the slot
     /// replay and every add that reaches a nonzero entry stay as they
     /// were.
-    // Lane loops deliberately index several parallel arrays by `lane`;
-    // the iterator forms clippy suggests obscure that symmetry.
-    #[allow(clippy::needless_range_loop)]
-    fn stamp_device(
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`BatchWorkspace::assemble_body`].
+    #[inline(always)]
+    unsafe fn stamp_device_body<N: LaneCount, S: Simd>(
         &mut self,
+        n: N,
         seated: &dyn LaneCircuits,
         elem_idx: usize,
         dev_idx: usize,
         x: &[f64],
         mut cursor: usize,
     ) -> usize {
-        let k = self.k;
+        let k = n.get();
         let dev = &mut self.devices[dev_idx];
         let nt = dev.nodes.len();
         let vbuf = &mut self.vbuf[..nt * k];
         let cbuf = &mut self.cbuf[..nt * k];
         let jbuf = &mut self.jbuf[..nt * nt * k];
-        // Gather lane-interleaved terminal voltages.
         for (ti, &node) in dev.nodes.iter().enumerate() {
             match row_of(node) {
                 Some(r) => vbuf[ti * k..(ti + 1) * k].copy_from_slice(&x[r * k..(r + 1) * k]),
@@ -986,34 +737,45 @@ impl BatchWorkspace {
         }
         dev.eval(seated, elem_idx, k, vbuf, cbuf, jbuf);
         let live = dev.kind.live_rows();
-        let row_slots = dev.nodes.iter().filter(|&&n| row_of(n).is_some()).count();
-        // Norton linearization, lane loops innermost: stamp G on the LHS
-        // and (G·v0 − I0) on the RHS.
+        let row_slots = dev
+            .nodes
+            .iter()
+            .filter(|&&node| row_of(node).is_some())
+            .count();
+        let cbp = cbuf.as_ptr();
+        let jbp = jbuf.as_ptr();
+        let vbp = vbuf.as_ptr();
+        let vp = self.values.as_mut_ptr();
+        let bp = self.b.as_mut_ptr();
         for (ti, &nk_node) in dev.nodes.iter().enumerate() {
             let Some(rk) = row_of(nk_node) else { continue };
             if !row_live(live, ti) {
                 cursor += row_slots;
                 continue;
             }
-            for lane in 0..k {
-                self.rhs[lane] = -cbuf[ti * k + lane];
-            }
-            for (tj, &nj_node) in dev.nodes.iter().enumerate() {
-                let jbase = (ti * nt + tj) * k;
-                for lane in 0..k {
-                    self.rhs[lane] += jbuf[jbase + lane] * vbuf[tj * k + lane];
-                }
-                if row_of(nj_node).is_some() {
-                    let slot = self.slots[cursor];
-                    cursor += 1;
-                    let dst = &mut self.values[slot * k..(slot + 1) * k];
-                    for lane in 0..k {
-                        dst[lane] += jbuf[jbase + lane];
+            // Each chunk replays the `tj` sweep with its own cursor so
+            // every (ti, tj) slot is stamped exactly once per chunk.
+            let cursor_ti = cursor;
+            // SAFETY: see the lane-chunk note in `assemble_body`; cbuf /
+            // jbuf / vbuf hold nt·k / nt²·k / nt·k f64s.
+            unsafe {
+                for c in (0..k).step_by(S::W) {
+                    let mut cur = cursor_ti;
+                    let mut rhs = S::neg(S::ld(cbp.add(ti * k + c)));
+                    for (tj, &nj_node) in dev.nodes.iter().enumerate() {
+                        let jrow = S::ld(jbp.add((ti * nt + tj) * k + c));
+                        rhs = S::add(rhs, S::mul(jrow, S::ld(vbp.add(tj * k + c))));
+                        if row_of(nj_node).is_some() {
+                            let slot = self.slots[cur];
+                            cur += 1;
+                            let dst = vp.add(slot * k + c);
+                            S::st(dst, S::add(S::ld(dst), jrow));
+                        }
                     }
+                    let dst = bp.add(rk * k + c);
+                    S::st(dst, S::add(S::ld(dst), rhs));
+                    cursor = cur;
                 }
-            }
-            for lane in 0..k {
-                self.b[rk * k + lane] += self.rhs[lane];
             }
         }
         cursor
@@ -1148,6 +910,29 @@ impl BatchWorkspace {
             if !any2 {
                 return Ok(());
             }
+        }
+    }
+}
+
+/// [`BatchWorkspace::assemble_body`] as a [`LaneKernel`].
+struct Assemble<'a> {
+    ws: &'a mut BatchWorkspace,
+    seated: &'a dyn LaneCircuits,
+    x: &'a [f64],
+    t: &'a [f64],
+    companions: &'a Companions,
+}
+
+impl LaneKernel for Assemble<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    unsafe fn run<N: LaneCount, S: Simd>(self, n: N) {
+        // SAFETY: forwarded from `dispatch`; `n` is the workspace's lane
+        // count.
+        unsafe {
+            self.ws
+                .assemble_body::<N, S>(n, self.seated, self.x, self.t, self.companions)
         }
     }
 }
@@ -1545,9 +1330,11 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
         let n = self.n;
         let n_nodes = self.n_node_unknowns;
         let n_caps = self.cap_nodes.len();
-        let occupancy_hist =
-            rotsv_obs::metrics_enabled().then(|| rotsv_obs::histogram("mc.batch_occupancy"));
-        let drag_hist = rotsv_obs::metrics_enabled().then(|| rotsv_obs::histogram("mc.dt_drag"));
+        // Occupancy and dt drag describe co-resident lanes: a one-lane
+        // session would only add constant 1.0 observations to both.
+        let lane_metrics = k > 1 && rotsv_obs::metrics_enabled();
+        let occupancy_hist = lane_metrics.then(|| rotsv_obs::histogram("mc.batch_occupancy"));
+        let drag_hist = lane_metrics.then(|| rotsv_obs::histogram("mc.dt_drag"));
         let newton_hist = rotsv_obs::metrics_enabled()
             .then(|| rotsv_obs::histogram("transient.newton_iters_per_step"));
         let lte_hist = rotsv_obs::metrics_enabled()
@@ -2221,7 +2008,7 @@ mod tests {
 
     /// A device type with no bank takes the per-lane fallback, whose
     /// rows are all live. Its dies must run bit-identically at one lane,
-    /// at three (a SIMD-body arm) and at nine (the dyn-K body), and each
+    /// at three (a fixed width) and at nine (a run-time width), and each
     /// must settle where KCL holds at the clamped node.
     #[test]
     fn per_lane_fallback_device_is_lane_count_invariant() {

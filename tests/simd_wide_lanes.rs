@@ -5,10 +5,11 @@
 //! SIMD dispatch level. These tests pin that contract at the new wide
 //! lane widths:
 //!
-//! * the `K = 32` and `K = 64` monomorphized arms agree bit-for-bit
-//!   (`f64::to_bits`) with the dyn-K fallback (exercised via lane
-//!   counts like 31/63 that are outside the const-K set) and with the
-//!   chunked scheduler,
+//! * the `K = 32` and `K = 64` fixed-width kernels agree bit-for-bit
+//!   (`f64::to_bits`) with the chunked scheduler and with the run-time
+//!   instantiation of the same kernel bodies, which lane counts outside
+//!   the fixed set (24, 31, 63) run: 31 and 63 on the scalar arm, 24 on
+//!   the AVX-512 arm where the host has it,
 //! * a population larger than the lane count with hard-stuck dies in
 //!   the mix forces mid-transient lane retirement and refill, i.e. the
 //!   masked-refactor reseat path at `K = 32`,
@@ -78,8 +79,8 @@ fn assert_bits_identical(label: &str, a: &McDeltaT, b: &McDeltaT) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// K = 32 const arm vs the chunked scheduler vs the dyn-K fallback
-    /// (31 lanes is outside the monomorphized set {1..8, 16, 32, 64}).
+    /// K = 32 fixed width vs the chunked scheduler vs run-time widths
+    /// (24 and 31 lanes are outside the fixed set {1..8, 16, 32, 64}).
     /// The population (36 dies) exceeds the lane count and contains
     /// stuck rungs, so the queued runs exercise lane retirement and the
     /// masked-refactor reseat mid-transient at K = 32.
@@ -89,14 +90,16 @@ proptest! {
         let queued = sweep(&faults, seed, McEngine::Batched { lanes: 32 });
         let chunked = sweep(&faults, seed, McEngine::BatchedChunked { lanes: 32 });
         let dyn_k = sweep(&faults, seed, McEngine::Batched { lanes: 31 });
+        let dyn_24 = sweep(&faults, seed, McEngine::Batched { lanes: 24 });
         prop_assert!(queued.stuck_count >= 2, "stuck rungs must retire lanes");
         assert_bits_identical("k32 queued vs chunked", &queued, &chunked);
         assert_bits_identical("k32 queued vs dyn-31", &queued, &dyn_k);
+        assert_bits_identical("k32 queued vs dyn-24", &queued, &dyn_24);
     }
 }
 
-/// K = 64 const arm vs the chunked scheduler and the dyn-K fallback at
-/// 63 lanes (one refill step).
+/// K = 64 fixed width vs the chunked scheduler and the run-time width
+/// 63 (one refill step).
 #[test]
 fn k64_arm_matches_chunked_and_dyn_fallback() {
     let faults = ladder_population(64);

@@ -3,13 +3,16 @@
 //! zero events under the default agreement configuration, (b) render a
 //! Chrome trace that parses back with `mc_sample` lane slices and
 //! counter tracks, and (c) leave the per-stage `lu.*` and `batch.*`
-//! histograms behind for the run manifest.
+//! histograms behind for the run manifest. A one-lane session run after
+//! it must add to the `batch.*` stages but not to the co-resident-lane
+//! histograms (`mc.batch_occupancy`, `mc.dt_drag`).
 //!
 //! This lives in its own test binary deliberately: the obs switches,
 //! metrics registry and event ring are process-global, so the test must
 //! not share a process with tests that reset them concurrently.
 
 use rotsv::mc::delta_t_population_with_engine;
+use rotsv::spice::{Circuit, SourceWaveform, TransientSpec};
 use rotsv::tsv::TsvFault;
 use rotsv::variation::ProcessSpread;
 use rotsv::{McEngine, TestBench};
@@ -105,8 +108,35 @@ fn batched_population_telemetry_round_trips() {
 
     let doc = rotsv_obs::render_chrome_trace();
     rotsv_obs::set_tracing(false);
-    rotsv_obs::set_metrics(false);
     rotsv_obs::set_events(false);
+
+    // Occupancy and dt drag describe co-resident lanes. A one-lane
+    // session (`Circuit::transient`) has none: it still times its
+    // super-iterations, but adds nothing to those two histograms.
+    let count = |name: &str| rotsv_obs::histogram(name).summary().count;
+    let lane_hists = ["mc.batch_occupancy", "mc.dt_drag"];
+    let before: Vec<u64> = lane_hists.iter().map(|name| count(name)).collect();
+    assert!(
+        before.iter().all(|&c| c > 0),
+        "the population must record {lane_hists:?}"
+    );
+    let assembles = count("batch.assemble");
+    let mut rc = Circuit::new();
+    let (vin, vout) = (rc.node("in"), rc.node("out"));
+    rc.add_vsource(vin, Circuit::GROUND, SourceWaveform::dc(1.0));
+    rc.add_resistor(vin, vout, 1e3);
+    rc.add_capacitor(vout, Circuit::GROUND, 1e-9);
+    rc.transient(&TransientSpec::new(1e-6, 1e-8))
+        .expect("RC transient succeeds");
+    for (name, &was) in lane_hists.iter().zip(&before) {
+        assert_eq!(count(name), was, "{name}: a one-lane session recorded");
+    }
+    assert!(
+        count("batch.assemble") > assembles,
+        "the one-lane session must still time its super-iterations"
+    );
+
+    rotsv_obs::set_metrics(false);
 
     // Acceptance is parse-back, not string inspection: the written
     // document must round-trip through the JSON parser.
