@@ -1,72 +1,11 @@
-//! Microbenchmarks of the structure-of-arrays batching kernels: the
-//! MOSFET bank evaluation against the equivalent scalar per-lane loop
-//! (the explicit-SIMD claim of the batched engine — `eval_lanes`
-//! dispatches to AVX-512/AVX2/scalar bodies at runtime), and the
-//! lane-interleaved sparse refactor+solve against K independent scalar
-//! factorizations. The per-kernel table in PERFORMANCE.md's "SIMD
-//! dispatch" section quotes this bench.
+//! Microbenchmark of the lane-interleaved sparse refactor+solve against K
+//! independent scalar factorizations. The MOSFET bank rows moved to
+//! `bench_solver`'s `bank_eval` section, which times the bank as the
+//! lane engine runs it (blocks of transistor slots) and gates it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rotsv::mosfet::model::MosDelta;
-use rotsv::mosfet::tech45::{self, DriveStrength};
-use rotsv::mosfet::{Mosfet, MosfetBank};
 use rotsv::num::sparse::{BatchedLu, SparseLu, SparseMatrix, SymbolicLu};
-use rotsv::spice::{Circuit, DeviceStamp, NonlinearDevice};
 use std::sync::Arc;
-
-/// K lane instances of one NMOS slot with per-lane variation deltas.
-fn lanes(k: usize) -> Vec<Mosfet> {
-    let mut ckt = Circuit::new();
-    let (d, g, s, b) = (ckt.node("d"), ckt.node("g"), ckt.node("s"), ckt.node("b"));
-    (0..k)
-        .map(|i| {
-            let delta = MosDelta {
-                dvth: 0.002 * i as f64,
-                dleff_rel: -0.001 * i as f64,
-            };
-            let params = tech45::nmos(DriveStrength::X2).with_delta(delta);
-            Mosfet::new("m", params, d, g, s, b)
-        })
-        .collect()
-}
-
-fn bench_mosfet_eval(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batched_mosfet_eval");
-    for k in [1usize, 4, 8, 16, 32, 64] {
-        let devs = lanes(k);
-        let refs: Vec<&Mosfet> = devs.iter().collect();
-        let mut bank = MosfetBank::try_new(&refs).expect("uniform lanes");
-        // A mid-transition bias, perturbed per lane like a Newton iterate.
-        let mut v = vec![0.0; 4 * k];
-        for (ti, base) in [0.6, 0.55, 0.0, 0.0].iter().enumerate() {
-            for lane in 0..k {
-                v[ti * k + lane] = base + 0.01 * lane as f64;
-            }
-        }
-        let mut current = vec![0.0; 4 * k];
-        let mut jacobian = vec![0.0; 16 * k];
-        group.bench_function(format!("bank_k{k}"), |b| {
-            b.iter(|| {
-                use rotsv::spice::BatchedDeviceEval;
-                bank.eval_lanes(std::hint::black_box(&v), &mut current, &mut jacobian);
-                current[0]
-            })
-        });
-        let mut stamp = DeviceStamp::new(4);
-        group.bench_function(format!("scalar_loop_k{k}"), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for (lane, dev) in devs.iter().enumerate() {
-                    let vl: Vec<f64> = (0..4).map(|ti| v[ti * k + lane]).collect();
-                    dev.eval(std::hint::black_box(&vl), &mut stamp);
-                    acc += stamp.current[0];
-                }
-                acc
-            })
-        });
-    }
-    group.finish();
-}
 
 /// Tridiagonal-plus-border MNA pattern (RC ladder), as in spice_kernels.
 fn ladder(n: usize) -> SparseMatrix {
@@ -125,5 +64,5 @@ fn bench_batched_lu(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_mosfet_eval, bench_batched_lu);
+criterion_group!(benches, bench_batched_lu);
 criterion_main!(benches);

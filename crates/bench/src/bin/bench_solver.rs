@@ -367,6 +367,155 @@ fn run_batched_vs_scalar() -> Vec<Json> {
     out
 }
 
+/// Lane counts of the `bank_eval` section.
+const BANK_EVAL_KS: [usize; 6] = [1, 2, 6, 14, 16, 32];
+
+/// MOSFET evaluation cost per device and lane on one N = 5 ring's
+/// transistor slots, evaluated as the lane engine evaluates them: blocks
+/// of `block_slots(k)` consecutive slots, one bank call per block at the
+/// stride `block_stride`, at k ∈ [`BANK_EVAL_KS`] dies. Below k = 8 one
+/// slot does not fill a vector, so without blocks the small widths
+/// would be latency-bound at several times the k = 32 cost. Each entry's
+/// `speed_vs_k32` is the k = 32 time over its own. The k = 32 blocks
+/// are also timed on the scalar arm (`simd_speedup`, scalar time over
+/// the active level's), which is what losing the bank's explicit SIMD
+/// would fall back to. [`gate_speedups`] floors both. Every width is
+/// timed in five interleaved rounds and the median kept.
+fn run_bank_eval() -> Json {
+    use rotsv::mosfet::{Mosfet, MosfetBank};
+    use rotsv::num::simd::{self, Level};
+    use rotsv::ro::RingOscillator;
+    use rotsv::spice::device::{block_slots, block_stride};
+    use rotsv::spice::BatchedDeviceEval;
+    use rotsv::variation::ProcessSpread;
+
+    const ROUNDS: usize = 5;
+    let bench = TestBench::fast(5);
+    let (enabled, _) = bench.ro_configs(1.1, &[TsvFault::None; 5], &[0]);
+    let k_max = BANK_EVAL_KS[BANK_EVAL_KS.len() - 1];
+    let rings: Vec<RingOscillator> = (0..k_max)
+        .map(|i| {
+            let die = Die::new(ProcessSpread::paper(), rotsv::die_seed(1007, i));
+            RingOscillator::build(&enabled, &mut die.variation())
+        })
+        .collect();
+    let per_die: Vec<Vec<&Mosfet>> = rings
+        .iter()
+        .map(|ro| {
+            ro.circuit()
+                .devices()
+                .map(|d| {
+                    d.as_any()
+                        .and_then(|a| a.downcast_ref::<Mosfet>())
+                        .expect("a ring's devices are MOSFETs")
+                })
+                .collect()
+        })
+        .collect();
+    let n_slots = per_die[0].len();
+
+    /// One block: its bank and its stride-sized buffers.
+    struct Block {
+        bank: MosfetBank,
+        v: Vec<f64>,
+        current: Vec<f64>,
+        jacobian: Vec<f64>,
+    }
+    let mut blocks_at: Vec<Vec<Block>> = BANK_EVAL_KS
+        .iter()
+        .map(|&k| {
+            let slot_lanes =
+                |s: usize| -> Vec<&Mosfet> { per_die[..k].iter().map(|d| d[s]).collect() };
+            (0..n_slots)
+                .step_by(block_slots(k))
+                .map(|first| {
+                    let last = (first + block_slots(k)).min(n_slots);
+                    let mut bank = MosfetBank::try_new(&slot_lanes(first)).expect("uniform lanes");
+                    for s in first + 1..last {
+                        assert!(bank.push(&slot_lanes(s)), "uniform slot");
+                    }
+                    let stride = block_stride((last - first) * k);
+                    // A mid-transition bias, perturbed per element like a
+                    // Newton iterate.
+                    let mut v = vec![0.0; 4 * stride];
+                    for (t, base) in [0.6, 0.55, 0.0, 0.0].iter().enumerate() {
+                        for e in 0..stride {
+                            v[t * stride + e] = base + 0.001 * e as f64;
+                        }
+                    }
+                    Block {
+                        bank,
+                        v,
+                        current: vec![0.0; 4 * stride],
+                        jacobian: vec![0.0; 16 * stride],
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let ns_per_device_lane = |blocks: &mut [Block], k: usize| {
+        let per_call = time_per_call(|| {
+            for b in blocks.iter_mut() {
+                b.bank
+                    .eval_lanes(std::hint::black_box(&b.v), &mut b.current, &mut b.jacobian);
+            }
+        });
+        per_call * 1e9 / (n_slots * k) as f64
+    };
+    let active = simd::level();
+    let mut ns = vec![Vec::new(); BANK_EVAL_KS.len()];
+    let mut scalar32 = Vec::new();
+    for _ in 0..ROUNDS {
+        for ((&k, blocks), samples) in BANK_EVAL_KS.iter().zip(&mut blocks_at).zip(&mut ns) {
+            samples.push(ns_per_device_lane(blocks, k));
+        }
+        simd::set_level(Level::Scalar);
+        scalar32.push(ns_per_device_lane(
+            &mut blocks_at[BANK_EVAL_KS.len() - 1],
+            k_max,
+        ));
+        simd::set_level(active);
+    }
+    let median = |xs: &mut Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let ns: Vec<f64> = ns.iter_mut().map(median).collect();
+    let at32 = ns[BANK_EVAL_KS.len() - 1];
+    let scalar32 = median(&mut scalar32);
+    println!("bank eval ({n_slots} MOSFET slots of the N = 5 ring, median of {ROUNDS} rounds):");
+    let entries = BANK_EVAL_KS
+        .iter()
+        .zip(&ns)
+        .zip(&blocks_at)
+        .map(|((&k, &ns), blocks)| {
+            println!(
+                "  k={k}: {ns:.1} ns per device-lane, {:.2}x k=32's speed ({} blocks of <= {} slots)",
+                at32 / ns,
+                blocks.len(),
+                block_slots(k)
+            );
+            Json::Obj(vec![
+                ("k".into(), Json::Num(k as f64)),
+                ("ns_per_device_lane".into(), Json::Num(ns)),
+                ("speed_vs_k32".into(), Json::Num(at32 / ns)),
+            ])
+        })
+        .collect();
+    println!(
+        "  k=32 on the scalar arm: {scalar32:.1} ns per device-lane, {} {:.2}x faster",
+        active.name(),
+        scalar32 / at32
+    );
+    Json::Obj(vec![
+        ("slots".into(), Json::Num(n_slots as f64)),
+        ("level".into(), Json::Str(active.name().into())),
+        ("entries".into(), Json::Arr(entries)),
+        ("k32_scalar_ns_per_device_lane".into(), Json::Num(scalar32)),
+        ("simd_speedup".into(), Json::Num(scalar32 / at32)),
+    ])
+}
+
 /// Throughput of the refill queue against the chunked (no-refill)
 /// scheduling on a population much larger than the lane count: 32 dies
 /// streamed through K = 4, 8, 16 lanes. Chunked batches decay toward
@@ -926,10 +1075,20 @@ fn wall_times(doc: &Json) -> Vec<(String, f64)> {
 }
 
 /// Hard throughput floors on the freshly measured document (not the
-/// baseline): the wide-lane SIMD engine must hold K = 16 at ≥ 2.94×
-/// scalar (the level autovectorization already reached) and K = 32 at
-/// ≥ 3.3×, and on the heterogeneous population the refill queue must
-/// beat chunked cohorts (> 1.0×) at every K ≥ 16. Returns failure
+/// baseline): the wide-lane SIMD engine must hold K = 16 at ≥ 1.63×
+/// scalar and K = 32 at ≥ 1.60× (about 0.83× their measured medians;
+/// the scalar schedule runs one-lane sessions, whose MOSFET blocks
+/// fill their vectors too, so these ratios are lower than when one
+/// lane evaluated one transistor at a time), and on the heterogeneous
+/// population the refill queue must beat chunked cohorts (> 1.0×) at
+/// every K ≥ 16. The `batched_vs_scalar` floors guard lane batching
+/// (the LU, SpMV and assembly a session shares across its dies), not
+/// the MOSFET bank's explicit SIMD: both columns evaluate full-width
+/// blocks on the same arm. That is the last floor's job. The MOSFET
+/// block evaluation at k = 1, 2 and 14 must run at ≥ 0.67× its k = 32
+/// speed per device-lane (cost at most 1.5×), and at k = 32 the active
+/// level must beat the scalar arm by ≥ 1.45× (AVX2 reads about 1.8×,
+/// AVX-512 about 2.5×; not checked at the scalar level). Returns failure
 /// lines; empty means all gates hold.
 fn gate_speedups(doc: &Json) -> Vec<String> {
     let mut failures = Vec::new();
@@ -947,8 +1106,34 @@ fn gate_speedups(doc: &Json) -> Vec<String> {
             .get("batched_speedup")
             .and_then(Json::as_f64)
     };
-    check("batched_vs_scalar k=16", speedup_at(16.0), 2.94);
-    check("batched_vs_scalar k=32", speedup_at(32.0), 3.3);
+    check("batched_vs_scalar k=16", speedup_at(16.0), 1.63);
+    check("batched_vs_scalar k=32", speedup_at(32.0), 1.60);
+    let bank = doc.get("bank_eval");
+    let bank_speed_at = |k: f64| {
+        bank?
+            .get("entries")
+            .and_then(Json::as_arr)?
+            .iter()
+            .find(|e| e.get("k").and_then(Json::as_f64) == Some(k))?
+            .get("speed_vs_k32")
+            .and_then(Json::as_f64)
+    };
+    for k in [1.0, 2.0, 14.0] {
+        check(
+            &format!("bank_eval k={k} speed vs k=32"),
+            bank_speed_at(k),
+            0.67,
+        );
+    }
+    let simd_speedup = bank
+        .and_then(|b| b.get("simd_speedup"))
+        .and_then(Json::as_f64);
+    match bank.and_then(|b| b.get("level")).and_then(Json::as_str) {
+        Some("scalar") => {
+            println!("  bank_eval k=32 vs scalar arm: not checked at the scalar level")
+        }
+        _ => check("bank_eval k=32 vs scalar arm", simd_speedup, 1.45),
+    }
     if let Some(entries) = doc
         .get("batched_refill_hetero")
         .and_then(|r| r.get("entries"))
@@ -1051,6 +1236,7 @@ fn main() {
     let batched = on_one_core(run_batched_vs_scalar);
     let refill = on_one_core(run_batched_refill);
     let refill_hetero = on_one_core(run_batched_refill_hetero);
+    let bank_eval = run_bank_eval();
     let obs_overhead = run_obs_overhead();
     let ring_overhead = run_ring_overhead();
     let ledger_overhead = run_ledger_overhead();
@@ -1061,6 +1247,7 @@ fn main() {
         ("batched_vs_scalar".into(), Json::Arr(batched)),
         ("batched_refill".into(), refill),
         ("batched_refill_hetero".into(), refill_hetero),
+        ("bank_eval".into(), bank_eval),
         ("obs_overhead".into(), obs_overhead),
         ("ring_overhead".into(), ring_overhead),
         ("ledger_overhead".into(), ledger_overhead),

@@ -18,6 +18,15 @@
 //!   vectors (AVX-512, AVX2 or the scalar fallback, bit-identical on
 //!   each) rather than left to the autovectorizer.
 //!
+//! Devices are evaluated in blocks: up to
+//! [`block_slots`]`(k)` consecutive device slots of one bank share one
+//! evaluation call over their `slots·k` elements, so a block fills whole
+//! vectors even when one slot's k lanes would not (one- and two-lane
+//! sessions are the per-die paths). Each device is then stamped in
+//! netlist order from its block's outputs. A slot without a bank, or
+//! whose refill the bank refused, falls back to evaluation one lane at a
+//! time and is counted in the `batch.per_lane_slots` metric.
+//!
 //! Assembly touches only entries that can be nonzero, with lane-contiguous
 //! loads. The capacitors' Norton companions are kept structure-of-arrays,
 //! `geq[cap*k + lane]` and `ieq[cap*k + lane]`, so one capacitor's K
@@ -92,7 +101,9 @@ use rotsv_num::sparse::{
 };
 
 use crate::circuit::{Circuit, Element};
-use crate::device::{BatchedDeviceEval, DeviceStamp, NonlinearDevice};
+use crate::device::{
+    block_slots, block_stride, BatchedDeviceEval, DeviceStamp, NonlinearDevice, BLOCK_ELEMENTS,
+};
 use crate::error::SpiceError;
 use crate::mna::{row_of, stamp_coords, NewtonOpts, STALL_RATIO};
 use crate::node::NodeId;
@@ -124,37 +135,23 @@ enum BatchElem {
     Device(usize),
 }
 
-/// How one nonlinear-device slot evaluates its K lanes.
-enum DeviceKind {
-    /// Structure-of-arrays lockstep kernel.
-    Batched(Box<dyn BatchedDeviceEval>),
-    /// Per-lane scalar fallback through [`NonlinearDevice::eval`], with
-    /// its stamp and terminal-voltage scratch kept across iterations.
+/// How a block of device slots evaluates its K lanes.
+enum BlockKind {
+    /// Structure-of-arrays lockstep kernel over the block's slots.
+    Bank(Box<dyn BatchedDeviceEval>),
+    /// Per-lane scalar fallback through [`NonlinearDevice::eval`] for a
+    /// one-slot block, with its stamp and terminal-voltage scratch kept
+    /// across iterations.
     PerLane { stamp: DeviceStamp, v: Vec<f64> },
 }
 
-impl DeviceKind {
-    /// The device type's bank over `lanes` (one device per lane, lane 0
-    /// first), or the per-lane fallback when it has none.
-    fn build(lanes: &[&dyn NonlinearDevice]) -> Self {
-        match lanes[0].batch_with(lanes) {
-            Some(bank) => DeviceKind::Batched(bank),
-            None => {
-                let nt = lanes[0].nodes().len();
-                DeviceKind::PerLane {
-                    stamp: DeviceStamp::new(nt),
-                    v: vec![0.0; nt],
-                }
-            }
-        }
-    }
-
+impl BlockKind {
     /// The bank's [`BatchedDeviceEval::live_rows`]; the per-lane fallback
     /// knows nothing of its device, so every row is live.
     fn live_rows(&self) -> u64 {
         match self {
-            DeviceKind::Batched(bank) => bank.live_rows(),
-            DeviceKind::PerLane { .. } => u64::MAX,
+            BlockKind::Bank(bank) => bank.live_rows(),
+            BlockKind::PerLane { .. } => u64::MAX,
         }
     }
 }
@@ -166,49 +163,125 @@ fn row_live(mask: u64, m: usize) -> bool {
     m >= 64 || (mask >> m) & 1 == 1
 }
 
-/// One nonlinear-device slot across all lanes.
+/// One nonlinear-device slot: its terminals and its netlist element.
 struct BatchDevice {
     nodes: Vec<NodeId>,
-    kind: DeviceKind,
+    elem: usize,
 }
 
-impl BatchDevice {
-    /// Evaluates all `k` lanes at the gathered terminal voltages `v` into
-    /// `current` and `jacobian` (layouts as in [`BatchedDeviceEval`]).
-    /// The per-lane fallback evaluates the device of the circuit seated
-    /// in each lane.
+/// A run of consecutive device slots `first..first + slots` evaluated by
+/// one call. Its buffers interleave the slots' lanes as elements
+/// `slot·k + lane`, each terminal row `stride` elements long (layout as
+/// in [`BatchedDeviceEval`]).
+struct DeviceBlock {
+    first: usize,
+    slots: usize,
+    /// [`block_stride`]`(slots·k)`.
+    stride: usize,
+    kind: BlockKind,
+}
+
+impl DeviceBlock {
+    /// Evaluates every element at the gathered terminal voltages `v`
+    /// into `current` and `jacobian`, all of the block's stride. The
+    /// per-lane fallback evaluates the device of the circuit seated in
+    /// each lane.
     fn eval(
         &mut self,
         seated: &dyn LaneCircuits,
-        elem_idx: usize,
+        devices: &[BatchDevice],
         k: usize,
         v: &[f64],
         current: &mut [f64],
         jacobian: &mut [f64],
     ) {
+        let stride = self.stride;
         match &mut self.kind {
-            DeviceKind::Batched(bank) => bank.eval_lanes(v, current, jacobian),
-            DeviceKind::PerLane { stamp, v: lane_v } => {
-                let nt = self.nodes.len();
+            BlockKind::Bank(bank) => bank.eval_lanes(v, current, jacobian),
+            BlockKind::PerLane { stamp, v: lane_v } => {
+                let dev = &devices[self.first];
+                let nt = dev.nodes.len();
                 for lane in 0..k {
-                    let Element::Nonlinear(d) = &seated.circuit(lane).elements[elem_idx] else {
+                    let Element::Nonlinear(d) = &seated.circuit(lane).elements[dev.elem] else {
                         unreachable!("validated topology");
                     };
                     for (ti, vt) in lane_v.iter_mut().enumerate() {
-                        *vt = v[ti * k + lane];
+                        *vt = v[ti * stride + lane];
                     }
                     stamp.clear();
                     d.eval(lane_v, stamp);
                     for ti in 0..nt {
-                        current[ti * k + lane] = stamp.current[ti];
+                        current[ti * stride + lane] = stamp.current[ti];
                         for tj in 0..nt {
-                            jacobian[(ti * nt + tj) * k + lane] = stamp.jacobian[(ti, tj)];
+                            jacobian[(ti * nt + tj) * stride + lane] = stamp.jacobian[(ti, tj)];
                         }
                     }
                 }
             }
         }
     }
+}
+
+/// The devices of slot `elem` in every lane, lane 0 first.
+fn lane_devices(seated: &dyn LaneCircuits, k: usize, elem: usize) -> Vec<&dyn NonlinearDevice> {
+    (0..k)
+        .map(|lane| match &seated.circuit(lane).elements[elem] {
+            Element::Nonlinear(d) => d.as_ref(),
+            _ => unreachable!("validated topology"),
+        })
+        .collect()
+}
+
+/// Groups the device slots `range` into blocks: a slot whose device type
+/// has a bank starts one (`batch_with`) and the following slots join it
+/// (`push_slot`) up to [`block_slots`]`(k)`; a slot without a bank is a
+/// one-slot per-lane block. Each per-lane slot adds one to the
+/// `batch.per_lane_slots` counter, the witness that a session fell off
+/// the block path.
+fn build_blocks(
+    devices: &[BatchDevice],
+    k: usize,
+    seated: &dyn LaneCircuits,
+    range: std::ops::Range<usize>,
+) -> Vec<DeviceBlock> {
+    let mut blocks = Vec::new();
+    let mut di = range.start;
+    while di < range.end {
+        let lanes = lane_devices(seated, k, devices[di].elem);
+        let nt = devices[di].nodes.len();
+        let Some(mut bank) = lanes[0].batch_with(&lanes) else {
+            if rotsv_obs::metrics_enabled() {
+                rotsv_obs::counter("batch.per_lane_slots").add(1);
+            }
+            blocks.push(DeviceBlock {
+                first: di,
+                slots: 1,
+                stride: block_stride(k),
+                kind: BlockKind::PerLane {
+                    stamp: DeviceStamp::new(nt),
+                    v: vec![0.0; nt],
+                },
+            });
+            di += 1;
+            continue;
+        };
+        let first = di;
+        di += 1;
+        while di < range.end
+            && di - first < block_slots(k)
+            && devices[di].nodes.len() == nt
+            && bank.push_slot(&lane_devices(seated, k, devices[di].elem))
+        {
+            di += 1;
+        }
+        blocks.push(DeviceBlock {
+            first,
+            slots: di - first,
+            stride: block_stride((di - first) * k),
+            kind: BlockKind::Bank(bank),
+        });
+    }
+    blocks
 }
 
 /// The Norton companions `(geq, ieq)` of every capacitor at each lane's
@@ -236,11 +309,15 @@ struct BatchWorkspace {
     /// CSR value-slot replay sequence, identical to the DC assembly's.
     slots: Vec<usize>,
     elems: Vec<BatchElem>,
+    /// Every nonlinear-device slot, in netlist order.
     devices: Vec<BatchDevice>,
-    /// Lane-interleaved scratch of the device being stamped, shared by
-    /// every device (each is evaluated and stamped before the next):
-    /// `terminals * k` trial voltages, `terminals * k` terminal currents
-    /// and `terminals² * k` Jacobian entries `[(r*t + c)*k + lane]`.
+    /// The device slots grouped into blocks, in netlist order.
+    blocks: Vec<DeviceBlock>,
+    /// Scratch of the block being stamped, shared by every block (each
+    /// is evaluated, then its devices stamped, before the next), sized
+    /// for the widest block stride: `terminals * stride` trial voltages,
+    /// `terminals * stride` terminal currents and `terminals² * stride`
+    /// Jacobian entries `[(r*t + c)*stride + slot*k + lane]`.
     vbuf: Vec<f64>,
     cbuf: Vec<f64>,
     jbuf: Vec<f64>,
@@ -275,6 +352,12 @@ struct BatchWorkspace {
 trait LaneCircuits {
     /// The circuit seated in `lane`.
     fn circuit(&self, lane: usize) -> &Circuit;
+}
+
+impl LaneCircuits for &[&Circuit] {
+    fn circuit(&self, lane: usize) -> &Circuit {
+        self[lane]
+    }
 }
 
 /// Checks that every die has the topology of die 0: same nodes, same
@@ -394,23 +477,18 @@ impl BatchWorkspace {
                     }
                 }
                 Element::Nonlinear(d0) => {
-                    let lanes: Vec<&dyn NonlinearDevice> = seated
-                        .iter()
-                        .map(|c| match &c.elements[ei] {
-                            Element::Nonlinear(d) => d.as_ref(),
-                            _ => unreachable!("validated topology"),
-                        })
-                        .collect();
                     devices.push(BatchDevice {
                         nodes: d0.nodes().to_vec(),
-                        kind: DeviceKind::build(&lanes),
+                        elem: ei,
                     });
                     BatchElem::Device(devices.len() - 1)
                 }
             });
         }
 
+        let blocks = build_blocks(&devices, k, &seated, 0..devices.len());
         let nt = devices.iter().map(|d| d.nodes.len()).max().unwrap_or(0);
+        let stride = block_stride(block_slots(k) * k);
         Ok(Self {
             k,
             n,
@@ -423,9 +501,10 @@ impl BatchWorkspace {
             slots,
             elems,
             devices,
-            vbuf: vec![0.0; nt * k],
-            cbuf: vec![0.0; nt * k],
-            jbuf: vec![0.0; nt * nt * k],
+            blocks,
+            vbuf: vec![0.0; nt * stride],
+            cbuf: vec![0.0; nt * stride],
+            jbuf: vec![0.0; nt * nt * stride],
             lu: None,
             cache: c0.symbolic_cache().cloned(),
             opts: c0.solver_options(),
@@ -469,29 +548,34 @@ impl BatchWorkspace {
                     };
                     waves[lane] = wave.clone();
                 }
-                BatchElem::Device(di) => {
-                    let Element::Nonlinear(d) = &c.elements[ei] else {
+                BatchElem::Device(_) => {}
+            }
+        }
+        // O(1) in-place re-seat where every slot of a bank accepts the
+        // incoming device (uniform shared parameters); otherwise the
+        // block is rebuilt for the new lane composition. A per-lane block
+        // reads the seated circuit at evaluation time: nothing to update.
+        let mut bi = 0;
+        while bi < self.blocks.len() {
+            let blk = &mut self.blocks[bi];
+            let refused = match &mut blk.kind {
+                BlockKind::Bank(bank) => (0..blk.slots).any(|slot| {
+                    let Element::Nonlinear(d) = &c.elements[self.devices[blk.first + slot].elem]
+                    else {
                         unreachable!("validated topology");
                     };
-                    let dev = &mut self.devices[*di];
-                    let rebuild = match &mut dev.kind {
-                        // O(1) in-place re-seat when the bank accepts the
-                        // incoming device (uniform shared parameters).
-                        DeviceKind::Batched(bank) => !bank.reseat_lane(lane, d.as_ref()),
-                        // Per-lane fallback reads the seated circuit
-                        // directly at stamp time — nothing to update.
-                        DeviceKind::PerLane { .. } => false,
-                    };
-                    if rebuild {
-                        let lanes_refs: Vec<&dyn NonlinearDevice> = (0..self.k)
-                            .map(|l| match &seated.circuit(l).elements[ei] {
-                                Element::Nonlinear(dd) => dd.as_ref(),
-                                _ => unreachable!("validated topology"),
-                            })
-                            .collect();
-                        dev.kind = DeviceKind::build(&lanes_refs);
-                    }
-                }
+                    !bank.reseat_lane(slot, lane, d.as_ref())
+                }),
+                BlockKind::PerLane { .. } => false,
+            };
+            if refused {
+                let range = blk.first..blk.first + blk.slots;
+                let rebuilt = build_blocks(&self.devices, self.k, seated, range);
+                let n = rebuilt.len();
+                self.blocks.splice(bi..=bi, rebuilt);
+                bi += n;
+            } else {
+                bi += 1;
             }
         }
     }
@@ -560,9 +644,11 @@ impl BatchWorkspace {
             }
         }
         let mut cap_idx = 0usize;
+        // The block whose outputs are in the scratch, and the next one.
+        let (mut block, mut next_block) = (0usize, 0usize);
         // Move the element list out so `self` stays borrowable.
         let elems = std::mem::take(&mut self.elems);
-        for (ei, elem) in elems.iter().enumerate() {
+        for elem in &elems {
             match elem {
                 BatchElem::Resistor { a, b, g } => {
                     // SAFETY: propagated from the caller.
@@ -636,9 +722,21 @@ impl BatchWorkspace {
                     }
                 }
                 BatchElem::Device(di) => {
+                    // A block is evaluated when its first slot comes up,
+                    // then its devices stamp one by one in netlist order.
+                    if self.blocks.get(next_block).is_some_and(|b| b.first == *di) {
+                        block = next_block;
+                        next_block += 1;
+                        self.eval_block(n, seated, block, x);
+                    }
+                    let blk = &self.blocks[block];
+                    let out = BlockOut {
+                        stride: blk.stride,
+                        at: (*di - blk.first) * k,
+                        live: blk.kind.live_rows(),
+                    };
                     // SAFETY: propagated from the caller.
-                    cursor =
-                        unsafe { self.stamp_device_body::<N, S>(n, seated, ei, *di, x, cursor) };
+                    cursor = unsafe { self.stamp_device_body::<N, S>(n, *di, out, cursor) };
                 }
             }
         }
@@ -692,23 +790,54 @@ impl BatchWorkspace {
         cursor
     }
 
-    /// Evaluates and stamps one device slot across all lanes: gather,
-    /// evaluate, then Norton-accumulate (G on the LHS, `G·v0 − I0` on the
-    /// RHS) with the per-terminal right-hand side held in a vector
-    /// register per chunk, `tj` ascending per lane.
+    /// Gathers block `bi`'s terminal voltages from the interleaved
+    /// iterate `x` into the block scratch (element `slot·k + lane` at
+    /// the block stride) and evaluates the block there.
+    fn eval_block<N: LaneCount>(&mut self, n: N, seated: &dyn LaneCircuits, bi: usize, x: &[f64]) {
+        let k = n.get();
+        let blk = &mut self.blocks[bi];
+        let stride = blk.stride;
+        let nt = self.devices[blk.first].nodes.len();
+        let vbuf = &mut self.vbuf[..nt * stride];
+        for (slot, dev) in self.devices[blk.first..blk.first + blk.slots]
+            .iter()
+            .enumerate()
+        {
+            for (ti, &node) in dev.nodes.iter().enumerate() {
+                let dst = &mut vbuf[ti * stride + slot * k..][..k];
+                match row_of(node) {
+                    Some(r) => dst.copy_from_slice(&x[r * k..(r + 1) * k]),
+                    None => dst.fill(0.0),
+                }
+            }
+        }
+        blk.eval(
+            seated,
+            &self.devices,
+            k,
+            vbuf,
+            &mut self.cbuf[..nt * stride],
+            &mut self.jbuf[..nt * nt * stride],
+        );
+    }
+
+    /// Stamps device slot `dev_idx` across all lanes from its evaluated
+    /// block's outputs `out` in the scratch: Norton-accumulate (G on the
+    /// LHS, `G·v0 − I0` on the RHS) with the per-terminal right-hand side
+    /// held in a vector register per chunk, `tj` ascending per lane.
     ///
-    /// Rows the device declares dead ([`BatchedDeviceEval::live_rows`])
-    /// are skipped: the cursor steps past their slots instead. This is
-    /// exact, not an approximation. A dead row's current and Jacobian
-    /// entries are `+0.0` and the trial voltages are finite (a non-finite
-    /// Newton update fails the lane's step before it is applied), so its
-    /// stamp would add `±0.0` to `values` and `b`. Every entry those adds
-    /// reach, a `values` slot or a node row of `b`, is a sum restarted at
-    /// `+0.0` this assembly, and under round-to-nearest such a sum is
-    /// never `−0.0` (only `−0.0 + −0.0` is), so each skipped add would
-    /// have left its bits as they were. The sparsity pattern, the slot
-    /// replay and every add that reaches a nonzero entry stay as they
-    /// were.
+    /// Rows the device declares dead (`out.live`, its bank's
+    /// [`BatchedDeviceEval::live_rows`]) are skipped: the cursor steps
+    /// past their slots instead. This is exact, not an approximation. A
+    /// dead row's current and Jacobian entries are `+0.0` and the trial
+    /// voltages are finite (a non-finite Newton update fails the lane's
+    /// step before it is applied), so its stamp would add `±0.0` to
+    /// `values` and `b`. Every entry those adds reach, a `values` slot or
+    /// a node row of `b`, is a sum restarted at `+0.0` this assembly, and
+    /// under round-to-nearest such a sum is never `−0.0` (only
+    /// `−0.0 + −0.0` is), so each skipped add would have left its bits as
+    /// they were. The sparsity pattern, the slot replay and every add
+    /// that reaches a nonzero entry stay as they were.
     ///
     /// # Safety
     ///
@@ -717,34 +846,33 @@ impl BatchWorkspace {
     unsafe fn stamp_device_body<N: LaneCount, S: Simd>(
         &mut self,
         n: N,
-        seated: &dyn LaneCircuits,
-        elem_idx: usize,
         dev_idx: usize,
-        x: &[f64],
+        out: BlockOut,
         mut cursor: usize,
     ) -> usize {
         let k = n.get();
-        let dev = &mut self.devices[dev_idx];
+        let BlockOut { stride, at, live } = out;
+        // From 32 lanes on a block is one slot at stride k: say so with
+        // the (often constant) k, which keeps that stamp's addressing
+        // what it was before blocks.
+        let stride = if k >= BLOCK_ELEMENTS { k } else { stride };
+        debug_assert_eq!(stride, out.stride);
+        let dev = &self.devices[dev_idx];
         let nt = dev.nodes.len();
-        let vbuf = &mut self.vbuf[..nt * k];
-        let cbuf = &mut self.cbuf[..nt * k];
-        let jbuf = &mut self.jbuf[..nt * nt * k];
-        for (ti, &node) in dev.nodes.iter().enumerate() {
-            match row_of(node) {
-                Some(r) => vbuf[ti * k..(ti + 1) * k].copy_from_slice(&x[r * k..(r + 1) * k]),
-                None => vbuf[ti * k..(ti + 1) * k].fill(0.0),
-            }
-        }
-        dev.eval(seated, elem_idx, k, vbuf, cbuf, jbuf);
-        let live = dev.kind.live_rows();
         let row_slots = dev
             .nodes
             .iter()
             .filter(|&&node| row_of(node).is_some())
             .count();
-        let cbp = cbuf.as_ptr();
-        let jbp = jbuf.as_ptr();
-        let vbp = vbuf.as_ptr();
+        // SAFETY: this slot's k elements start at `at ≤ stride - k` in
+        // every row of the scratch.
+        let (cbp, jbp, vbp) = unsafe {
+            (
+                self.cbuf.as_ptr().add(at),
+                self.jbuf.as_ptr().add(at),
+                self.vbuf.as_ptr().add(at),
+            )
+        };
         let vp = self.values.as_mut_ptr();
         let bp = self.b.as_mut_ptr();
         for (ti, &nk_node) in dev.nodes.iter().enumerate() {
@@ -757,14 +885,15 @@ impl BatchWorkspace {
             // every (ti, tj) slot is stamped exactly once per chunk.
             let cursor_ti = cursor;
             // SAFETY: see the lane-chunk note in `assemble_body`; cbuf /
-            // jbuf / vbuf hold nt·k / nt²·k / nt·k f64s.
+            // jbuf / vbuf hold nt·stride / nt²·stride / nt·stride f64s
+            // and their pointers above start at this slot's elements.
             unsafe {
                 for c in (0..k).step_by(S::W) {
                     let mut cur = cursor_ti;
-                    let mut rhs = S::neg(S::ld(cbp.add(ti * k + c)));
+                    let mut rhs = S::neg(S::ld(cbp.add(ti * stride + c)));
                     for (tj, &nj_node) in dev.nodes.iter().enumerate() {
-                        let jrow = S::ld(jbp.add((ti * nt + tj) * k + c));
-                        rhs = S::add(rhs, S::mul(jrow, S::ld(vbp.add(tj * k + c))));
+                        let jrow = S::ld(jbp.add((ti * nt + tj) * stride + c));
+                        rhs = S::add(rhs, S::mul(jrow, S::ld(vbp.add(tj * stride + c))));
                         if row_of(nj_node).is_some() {
                             let slot = self.slots[cur];
                             cur += 1;
@@ -912,6 +1041,17 @@ impl BatchWorkspace {
             }
         }
     }
+}
+
+/// Where one device slot's outputs sit in the evaluated block's scratch.
+#[derive(Clone, Copy)]
+struct BlockOut {
+    /// The block's element stride.
+    stride: usize,
+    /// The slot's first element, `slot·k`.
+    at: usize,
+    /// The block's [`BatchedDeviceEval::live_rows`].
+    live: u64,
 }
 
 /// [`BatchWorkspace::assemble_body`] as a [`LaneKernel`].

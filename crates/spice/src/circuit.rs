@@ -245,6 +245,14 @@ impl Circuit {
         self.elements.len()
     }
 
+    /// The nonlinear devices, in netlist order.
+    pub fn devices(&self) -> impl Iterator<Item = &dyn NonlinearDevice> {
+        self.elements.iter().filter_map(|e| match e {
+            Element::Nonlinear(d) => Some(d.as_ref()),
+            _ => None,
+        })
+    }
+
     /// Attaches a shared topology-keyed symbolic-analysis cache.
     ///
     /// Analyses on this circuit then go through the cache, so circuits

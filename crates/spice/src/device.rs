@@ -89,37 +89,82 @@ pub trait NonlinearDevice: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Lockstep evaluator for one device slot across K lanes of a batched
-/// transient, with every buffer lane-interleaved.
+/// The most elements a block of device slots holds: the batched
+/// workspace groups up to [`block_slots`]`(k)` consecutive slots of one
+/// bank into a block, so a block fills whole vectors even at one or two
+/// lanes.
+pub const BLOCK_ELEMENTS: usize = 32;
+
+/// Slots per device block at `k` lanes: as many as fit in
+/// [`BLOCK_ELEMENTS`], at least one.
+pub fn block_slots(k: usize) -> usize {
+    (BLOCK_ELEMENTS / k.max(1)).max(1)
+}
+
+/// Element stride of a device block's buffers for `elements` (its
+/// slots times the lanes): the smallest of 8, 16 and [`BLOCK_ELEMENTS`]
+/// that holds them, so a block is evaluated at one of three fixed
+/// counts, each a whole number of the widest vectors; past
+/// `BLOCK_ELEMENTS` (one slot of that many lanes or more), `elements`
+/// itself.
+pub fn block_stride(elements: usize) -> usize {
+    if elements > BLOCK_ELEMENTS {
+        elements
+    } else {
+        elements.next_power_of_two().max(8)
+    }
+}
+
+/// Lockstep evaluator for a run of device slots (consecutive nonlinear
+/// devices of one netlist) across K lanes of a batched transient.
 ///
-/// For a device with `t` terminals and `k` lanes:
-/// * `v[m*k + lane]` — trial voltage of terminal `m` in `lane`,
-/// * `current[m*k + lane]` — terminal current (same sign convention as
-///   [`NonlinearDevice::eval`]),
-/// * `jacobian[(r*t + c)*k + lane]` — `dI_r / dV_c`.
+/// A bank starts as one slot ([`NonlinearDevice::batch_with`]) and may
+/// take more ([`Self::push_slot`]). Its buffers interleave the slots'
+/// lanes as elements `e = slot*k + lane`, each terminal row `stride`
+/// elements long, where `stride = v.len() / t` for a device with `t`
+/// terminals and is at least `slots * k`:
+/// * `v[m*stride + e]` — trial voltage of terminal `m` of element `e`,
+/// * `current[m*stride + e]` — terminal current (same sign convention
+///   as [`NonlinearDevice::eval`]),
+/// * `jacobian[(r*t + c)*stride + e]` — `dI_r / dV_c`.
+///
+/// A one-slot bank with `stride = k` is plain lane interleaving. The
+/// batched workspace passes [`block_stride`]`(slots * k)`; elements past
+/// `slots * k` are padding whose outputs it never reads.
 ///
 /// Buffers are **not** pre-zeroed: `eval_lanes` must write every entry
-/// it owns each call, including exact zeros.
+/// of every slot's elements each call, including exact zeros.
 pub trait BatchedDeviceEval: Send {
-    /// Evaluates all lanes at the interleaved trial voltages `v`.
+    /// Evaluates every element at the interleaved trial voltages `v`.
     fn eval_lanes(&mut self, v: &[f64], current: &mut [f64], jacobian: &mut [f64]);
 
-    /// The terminal rows that can ever be nonzero: bit `m` covers
-    /// `current[m*k + ..]` and Jacobian row `m`. A clear bit promises
-    /// that `eval_lanes` writes that row as `+0.0` in every lane at every
-    /// trial point, so the batched assembly skips stamping it. Terminals
-    /// past bit 63 are always live. The default declares every row live.
+    /// The terminal rows that can ever be nonzero, in every slot: bit `m`
+    /// covers `current[m*stride + ..]` and Jacobian row `m`. A clear bit
+    /// promises that `eval_lanes` writes that row as `+0.0` for every
+    /// element at every trial point, so the batched assembly skips
+    /// stamping it. Terminals past bit 63 are always live. The default
+    /// declares every row live.
     fn live_rows(&self) -> u64 {
         u64::MAX
     }
 
-    /// Re-seats `lane` with `device` (the corresponding slot of a new die
-    /// being seated into that lane by the refill scheduler). Returns
-    /// `true` when the bank absorbed the device in place; `false` (the
-    /// default) tells the caller to rebuild the bank for the new lane
-    /// composition instead.
-    fn reseat_lane(&mut self, lane: usize, device: &dyn NonlinearDevice) -> bool {
-        let _ = (lane, device);
+    /// Appends one more slot, its K lane devices in lane order, after
+    /// the bank's last. Returns `false` (the default) when the bank
+    /// cannot hold it: another device type, a different terminal count,
+    /// or lanes the kernel cannot express together. A refused push
+    /// leaves the bank as it was.
+    fn push_slot(&mut self, lanes: &[&dyn NonlinearDevice]) -> bool {
+        let _ = lanes;
+        false
+    }
+
+    /// Re-seats `lane` of `slot` with `device` (the corresponding device
+    /// of a new die being seated into that lane by the refill
+    /// scheduler). Returns `true` when the bank absorbed the device in
+    /// place; `false` (the default) tells the caller to rebuild the bank
+    /// for the new lane composition instead.
+    fn reseat_lane(&mut self, slot: usize, lane: usize, device: &dyn NonlinearDevice) -> bool {
+        let _ = (slot, lane, device);
         false
     }
 }

@@ -15,16 +15,24 @@ use rotsv::variation::ProcessSpread;
 use rotsv::{McDeltaT, McEngine, TestBench};
 use std::num::NonZeroUsize;
 
-const SAMPLES: usize = 4;
+/// Seven dies: the 3- and 6-lane engines then refill, and the 14-lane
+/// engine seats both runs of all seven in one 14-lane session at thread
+/// cap 1.
+const SAMPLES: usize = 7;
 const LANES: usize = 4;
 
-/// Every engine the exact-agreement contract covers.
-const ENGINES: [McEngine; 6] = [
+/// Every engine the exact-agreement contract covers. Lane counts 3 and 6
+/// leave padding in their MOSFET blocks (10 and 5 slots of 32
+/// elements), and 14 is a run-time width.
+const ENGINES: [McEngine; 9] = [
     McEngine::Scalar,
     McEngine::Auto,
     McEngine::Batched { lanes: 1 },
     McEngine::Batched { lanes: 2 },
+    McEngine::Batched { lanes: 3 },
     McEngine::Batched { lanes: 4 },
+    McEngine::Batched { lanes: 6 },
+    McEngine::Batched { lanes: 14 },
     McEngine::BatchedChunked { lanes: 2 },
 ];
 

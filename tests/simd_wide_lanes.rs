@@ -14,7 +14,9 @@
 //!   the mix forces mid-transient lane retirement and refill, i.e. the
 //!   masked-refactor reseat path at `K = 32`,
 //! * forcing the dispatch level to Scalar / AVX2 / AVX-512 (clamped to
-//!   what the host supports) does not change a single bit.
+//!   what the host supports) does not change a single bit, at K = 32
+//!   and at the small widths (1, 2, 3, 14) whose MOSFET blocks span
+//!   several transistor slots.
 //!
 //! Level flips in the ISA test are safe to run concurrently with the
 //! other tests in this binary precisely *because* of the bit-identity
@@ -129,4 +131,25 @@ fn wide_lane_results_are_isa_invariant() {
     simd::set_level(simd::detected());
     assert_bits_identical("scalar vs avx2", &scalar, &avx2);
     assert_bits_identical("scalar vs avx512", &scalar, &avx512);
+}
+
+/// The small-width twin of [`wide_lane_results_are_isa_invariant`]: at
+/// K = 1, 2, 3 and 14 a MOSFET block spans 32, 16, 10 and 2 transistor
+/// slots (3 and 14 with padding, 14 a run-time width), and every width
+/// at every level gives the same bits as one lane on the scalar arm.
+#[test]
+fn small_lane_results_are_isa_invariant() {
+    let faults = ladder_population(16);
+    let mut reference = None;
+    for want in [Level::Scalar, Level::Avx2, Level::Avx512] {
+        let got = simd::set_level(want);
+        assert!(got <= simd::detected());
+        for lanes in [1, 2, 3, 14] {
+            let run = sweep(&faults, 29, McEngine::Batched { lanes });
+            let reference = reference.get_or_insert_with(|| run.clone());
+            let label = format!("{} at K = {lanes} vs scalar K = 1", got.name());
+            assert_bits_identical(&label, reference, &run);
+        }
+    }
+    simd::set_level(simd::detected());
 }

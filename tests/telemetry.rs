@@ -5,14 +5,19 @@
 //! counter tracks, and (c) leave the per-stage `lu.*` and `batch.*`
 //! histograms behind for the run manifest. A one-lane session run after
 //! it must add to the `batch.*` stages but not to the co-resident-lane
-//! histograms (`mc.batch_occupancy`, `mc.dt_drag`).
+//! histograms (`mc.batch_occupancy`, `mc.dt_drag`). Every ring device
+//! slot must stay on the MOSFET block path (`batch.per_lane_slots` stays
+//! 0), and a refill whose transistor the bank refuses must count the
+//! one slot that falls off it.
 //!
 //! This lives in its own test binary deliberately: the obs switches,
 //! metrics registry and event ring are process-global, so the test must
 //! not share a process with tests that reset them concurrently.
 
 use rotsv::mc::delta_t_population_with_engine;
-use rotsv::spice::{Circuit, SourceWaveform, TransientSpec};
+use rotsv::mosfet::tech45::{self, DriveStrength};
+use rotsv::mosfet::Mosfet;
+use rotsv::spice::{transient_queue, Circuit, NodeId, SourceWaveform, TransientSpec};
 use rotsv::tsv::TsvFault;
 use rotsv::variation::ProcessSpread;
 use rotsv::{McEngine, TestBench};
@@ -20,6 +25,43 @@ use rotsv_obs::Json;
 
 const SAMPLES: usize = 4;
 const LANES: usize = 4;
+
+/// A three-inverter chain driven by a rising step; the second stage's
+/// NMOS is `mid_nmos`, every other transistor X1. Returns the circuit
+/// and its output node.
+fn inverter_chain(mid_nmos: DriveStrength) -> (Circuit, NodeId) {
+    let mut c = Circuit::new();
+    let (vdd, input) = (c.node("vdd"), c.node("in"));
+    c.add_vsource(vdd, Circuit::GROUND, SourceWaveform::dc(1.1));
+    c.add_vsource(
+        input,
+        Circuit::GROUND,
+        SourceWaveform::step(0.0, 1.1, 20e-12),
+    );
+    let mut prev = input;
+    for stage in 0..3 {
+        let out = c.node(&format!("s{stage}"));
+        let nmos = if stage == 1 {
+            mid_nmos
+        } else {
+            DriveStrength::X1
+        };
+        let p = tech45::pmos(DriveStrength::X1);
+        c.add_device(Box::new(Mosfet::new("mp", p, out, prev, vdd, vdd)));
+        let n = tech45::nmos(nmos);
+        c.add_device(Box::new(Mosfet::new(
+            "mn",
+            n,
+            out,
+            prev,
+            Circuit::GROUND,
+            Circuit::GROUND,
+        )));
+        c.add_capacitor(out, Circuit::GROUND, 2e-15);
+        prev = out;
+    }
+    (c, prev)
+}
 
 #[test]
 fn batched_population_telemetry_round_trips() {
@@ -57,6 +99,10 @@ fn batched_population_telemetry_round_trips() {
         0,
         "mc.ring_dropped_events must stay zero in the default configuration"
     );
+    // Every ring slot is a MOSFET whose lanes differ only by variation:
+    // none may fall back to one-lane-at-a-time evaluation.
+    let per_lane = rotsv_obs::counter("batch.per_lane_slots");
+    assert_eq!(per_lane.get(), 0, "a ring slot fell off the block path");
 
     // Staged-solver attribution: every lu.* stage histogram observed at
     // least once (this is what `manifest_<id>.json` serializes).
@@ -135,6 +181,34 @@ fn batched_population_telemetry_round_trips() {
         count("batch.assemble") > assembles,
         "the one-lane session must still time its super-iterations"
     );
+
+    // A refill whose second-stage NMOS is X4 where the seated die's is
+    // X1: the bank refuses that one slot, which then falls back to
+    // per-lane evaluation, and the rest of its block is rebuilt as
+    // banks. Each die still settles where its solo run does.
+    let chains: Vec<(Circuit, NodeId)> = [
+        DriveStrength::X1,
+        DriveStrength::X1,
+        DriveStrength::X4,
+        DriveStrength::X1,
+    ]
+    .into_iter()
+    .map(inverter_chain)
+    .collect();
+    let ckts: Vec<&Circuit> = chains.iter().map(|(c, _)| c).collect();
+    let out = chains[0].1;
+    let spec = TransientSpec::new(0.3e-9, 2e-12).record(&[out]);
+    let solo = transient_queue(&ckts, 1, &spec).expect("solo chains settle");
+    assert_eq!(per_lane.get(), 0, "one-lane sessions are uniform");
+    let shared = transient_queue(&ckts, 2, &spec).expect("refilled chains settle");
+    assert_eq!(per_lane.get(), 1, "exactly the refused slot falls back");
+    for (die, (a, b)) in solo.iter().zip(&shared).enumerate() {
+        let (va, vb) = (a.final_voltage(out), b.final_voltage(out));
+        assert!(
+            (va - vb).abs() <= 1e-6,
+            "die {die}: {va} V solo vs {vb} V shared"
+        );
+    }
 
     rotsv_obs::set_metrics(false);
 
