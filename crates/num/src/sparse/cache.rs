@@ -5,7 +5,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::linsolve::SolveError;
 
-use super::numeric::SparseLu;
 use super::symbolic::{AnalyzeOptions, SymbolicLu};
 use super::SparseMatrix;
 
@@ -24,9 +23,11 @@ use super::SparseMatrix;
 /// factorization of every transient happens at the zero-voltage initial
 /// Newton iterate, where the assembled matrix — and therefore the
 /// permutations and scaling a fresh analysis would choose — is identical
-/// for every run of the same netlist and die. A cache hit that
-/// nevertheless fails the pivot check falls back to a fresh analysis
-/// instead of poisoning the scope.
+/// for every run of the same netlist and die. A cached order that
+/// nevertheless fails for some values is replaced inside the
+/// factorization that holds it
+/// ([`BatchedLu::refactor_masked`](super::BatchedLu::refactor_masked)
+/// re-analyzes from the offending lane), never in the cache.
 #[derive(Debug, Default)]
 pub struct SymbolicCache {
     inner: Mutex<HashMap<PatternKey, Arc<SymbolicLu>>>,
@@ -95,44 +96,5 @@ impl SymbolicCache {
         let sym = Arc::new(SymbolicLu::analyze_with(a, opts)?);
         inner.insert(key, Arc::clone(&sym));
         Ok((sym, true))
-    }
-
-    /// Factors `a` under [`AnalyzeOptions::default`], reusing the cached
-    /// symbolic analysis of its pattern when present. Returns the
-    /// factorization and the number of fresh analyses this call performed
-    /// (0 on a clean cache hit, 1 on a miss — or on a hit whose pivot
-    /// order proved unusable for `a`'s values, where a private
-    /// re-analysis takes over).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Singular`] when even a fresh analysis
-    /// cannot factor `a`.
-    pub fn factor(&self, a: &SparseMatrix) -> Result<(SparseLu, u64), SolveError> {
-        self.factor_with(a, AnalyzeOptions::default())
-    }
-
-    /// [`SymbolicCache::factor`] with explicit [`AnalyzeOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::Singular`] when even a fresh analysis
-    /// cannot factor `a`.
-    pub fn factor_with(
-        &self,
-        a: &SparseMatrix,
-        opts: AnalyzeOptions,
-    ) -> Result<(SparseLu, u64), SolveError> {
-        let (sym, analyzed) = self.symbolic_for_with(a, opts)?;
-        let analyses = u64::from(analyzed);
-        match SparseLu::with_symbolic(sym, a) {
-            Ok(lu) => Ok((lu, analyses)),
-            Err(SolveError::Singular { .. }) => {
-                // The shared pivot order does not suit these values; fall
-                // back to a private analysis without touching the cache.
-                Ok((SparseLu::new_with(a, opts)?, analyses + 1))
-            }
-            Err(e) => Err(e),
-        }
     }
 }

@@ -328,8 +328,15 @@ fn symbolic_cache_counts_one_analysis_per_topology() {
     for s in 0..a.nnz() {
         a2.add_slot(s, a.values()[s] * 1.3);
     }
-    let (lu, n1) = cache.factor(&a).unwrap();
-    let (lu2, n2) = cache.factor(&a2).unwrap();
+    let factor = |m: &SparseMatrix| {
+        let (sym, analyzed) = cache.symbolic_for(m).unwrap();
+        (
+            SparseLu::with_symbolic(sym, m).unwrap(),
+            u64::from(analyzed),
+        )
+    };
+    let (lu, n1) = factor(&a);
+    let (lu2, n2) = factor(&a2);
     assert_eq!((n1, n2), (1, 0), "second factor must hit the cache");
     assert_eq!(cache.len(), 1);
     assert!(Arc::ptr_eq(lu.symbolic(), lu2.symbolic()));
@@ -339,7 +346,7 @@ fn symbolic_cache_counts_one_analysis_per_topology() {
 
     // A different topology gets its own analysis.
     let c = SparseMatrix::from_triplets(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
-    let (_, n3) = cache.factor(&c).unwrap();
+    let (_, n3) = factor(&c);
     assert_eq!(n3, 1);
     assert_eq!(cache.len(), 2);
 }
@@ -377,27 +384,10 @@ fn symbolic_cache_keys_include_options() {
 }
 
 #[test]
-fn symbolic_cache_reanalyzes_when_shared_pivots_fail() {
-    // First matrix pivots naturally at (0,0); the second zeroes that
-    // entry so the cached order is unusable and a private analysis
-    // (counted, not cached) must take over.
-    let cache = SymbolicCache::new();
-    let a = SparseMatrix::from_triplets(2, &[(0, 0, 5.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.1)]);
-    let (_, n1) = cache.factor(&a).unwrap();
-    let drifted =
-        SparseMatrix::from_triplets(2, &[(0, 0, 0.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.1)]);
-    let (lu, n2) = cache.factor(&drifted).unwrap();
-    assert_eq!((n1, n2), (1, 1), "hit + pivot fallback = one analysis");
-    assert_eq!(cache.len(), 1, "fallback analysis must not poison cache");
-    let x = lu.solve(&[1.0, 2.0]).unwrap();
-    assert!(residual_inf(&drifted, &x, &[1.0, 2.0]) < 1e-12);
-}
-
-#[test]
 fn cached_factor_matches_fresh_factor_bitwise() {
     // `with_symbolic` over a cached analysis must produce the same
-    // factors a fresh `SparseLu::new` would — the bit-neutrality the
-    // scalar engine's per-measurement sharing relies on.
+    // factors a fresh `SparseLu::new` would: sharing an analysis is
+    // bit-neutral.
     let a = SparseMatrix::from_triplets(
         3,
         &[
@@ -411,7 +401,9 @@ fn cached_factor_matches_fresh_factor_bitwise() {
     );
     let cache = SymbolicCache::new();
     cache.symbolic_for(&a).unwrap();
-    let (cached, _) = cache.factor(&a).unwrap();
+    let (sym, analyzed) = cache.symbolic_for(&a).unwrap();
+    assert!(!analyzed, "the second request hits the cache");
+    let cached = SparseLu::with_symbolic(sym, &a).unwrap();
     let fresh = SparseLu::new(&a).unwrap();
     let b = [0.25, -1.5, 3.0];
     assert_eq!(

@@ -1,6 +1,11 @@
 //! Lane-batched transient analysis: a die queue streamed through K
 //! asynchronous SIMD lanes. This is the simulator's one transient
 //! stepping loop; [`Circuit::transient`] is a one-lane session of it.
+//! Its Newton pass (assemble, residual, per-lane refresh and masked
+//! refactor, solve, per-lane convergence and damping) is the simulator's
+//! one Newton core: [`Circuit::dcop`] runs the same pass on one lane held
+//! at DC, with capacitors open, sources at their t = 0 values and full
+//! Newton.
 //!
 //! A Monte-Carlo population simulates hundreds of dies that share one
 //! netlist and differ only in element *values* (process variation
@@ -337,6 +342,16 @@ struct BatchWorkspace {
     refactor_mask: Vec<bool>,
     /// `n * k` residual scratch.
     resid: Vec<f64>,
+    /// `n * k` Newton update scratch.
+    delta: Vec<f64>,
+    /// `k` residual norms of the current pass.
+    rnorm: Vec<f64>,
+    /// `k` lanes whose refresh policy fired this pass.
+    want: Vec<bool>,
+    /// The Newton rule every lane follows.
+    newton_opts: NewtonOpts,
+    /// Per-lane progress in the current Newton solve.
+    newton: Vec<NewtonLane>,
     /// Per-lane work counters of the die seated in each lane, moved out
     /// with its record when it retires.
     stats: Vec<SolverStats>,
@@ -421,8 +436,8 @@ fn validate_topology(ckts: &[&Circuit]) -> Result<(), SpiceError> {
 
 impl BatchWorkspace {
     /// Builds a workspace with one lane per circuit of `seated`, lane 0
-    /// first.
-    fn new(seated: &[&Circuit]) -> Result<Self, SpiceError> {
+    /// first, whose lanes follow the Newton rule `newton_opts`.
+    fn new(seated: &[&Circuit], newton_opts: NewtonOpts) -> Result<Self, SpiceError> {
         validate_topology(seated)?;
         let k = seated.len();
         let c0 = seated[0];
@@ -512,6 +527,11 @@ impl BatchWorkspace {
             factored_once: vec![false; k],
             refactor_mask: vec![false; k],
             resid: vec![0.0; n * k],
+            delta: vec![0.0; n * k],
+            rnorm: vec![0.0; k],
+            want: vec![false; k],
+            newton_opts,
+            newton: vec![NewtonLane::SEATED; k],
             stats: vec![SolverStats::default(); k],
             session: rotsv_obs::next_session(),
         })
@@ -520,11 +540,12 @@ impl BatchWorkspace {
     /// Re-seats `lane` from the circuit now seated there: re-extracts the
     /// lane's element values (conductances, waveforms), re-seats or
     /// rebuilds the device banks, invalidates the lane's stored LU
-    /// factors and zeroes its counters. The caller re-seeds the dynamic
-    /// state (`x`, capacitor history, lane clock).
+    /// factors and zeroes its Newton progress and counters. The caller
+    /// re-seeds the dynamic state (`x`, capacitor history, lane clock).
     fn reseat_lane(&mut self, seated: &dyn LaneCircuits, lane: usize) {
         self.lu_valid[lane] = false;
         self.factored_once[lane] = false;
+        self.newton[lane] = NewtonLane::SEATED;
         self.stats[lane] = SolverStats::default();
         let c = seated.circuit(lane);
         for (ei, elem) in self.elems.iter_mut().enumerate() {
@@ -580,11 +601,27 @@ impl BatchWorkspace {
         }
     }
 
+    /// Holds every lane's independent sources at `alpha` times their
+    /// t = 0 values (the DC operating point's source stepping).
+    fn hold_sources(&mut self, seated: &dyn LaneCircuits, alpha: f64) {
+        for lane in 0..self.k {
+            for (elem, e) in self.elems.iter_mut().zip(&seated.circuit(lane).elements) {
+                if let (
+                    BatchElem::VSource { waves, .. } | BatchElem::ISource { waves, .. },
+                    Element::VSource { wave, .. } | Element::ISource { wave, .. },
+                ) = (elem, e)
+                {
+                    waves[lane] = SourceWaveform::dc(alpha * wave.value(0.0));
+                }
+            }
+        }
+    }
+
     /// Assembles all lanes at the interleaved iterate `x`, per-lane times
     /// `t[lane]`, with each capacitor's Norton companion read from
-    /// `companions` (always companion mode: a batched run is always a
-    /// transient). Idle lanes are stamped at their frozen state — their
-    /// values stay finite and are never solved or factored.
+    /// `companions` (all zero at DC, where capacitors are open). Idle
+    /// lanes are stamped at their frozen state — their values stay finite
+    /// and are never solved or factored.
     fn assemble(
         &mut self,
         seated: &dyn LaneCircuits,
@@ -915,7 +952,7 @@ impl BatchWorkspace {
         self.refactor_mask.iter().position(|&m| m).unwrap_or(0)
     }
 
-    /// (Re)factors the lanes whose refresh policy fired (`want`),
+    /// (Re)factors the lanes whose refresh policy fired (`self.want`),
     /// per-lane: each wanted lane whose values changed since its last
     /// factorization is swept individually (bit-identical to any other
     /// lane composition), unchanged lanes keep their factors
@@ -935,14 +972,14 @@ impl BatchWorkspace {
     // Lane loops deliberately index several parallel arrays by `lane`;
     // the iterator forms clippy suggests obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
-    fn refactor_lanes(&mut self, t: f64, want: &[bool], busy: &[bool]) -> Result<(), SpiceError> {
+    fn refactor_lanes(&mut self, t: f64, busy: &[bool]) -> Result<(), SpiceError> {
         let k = self.k;
         let nnz = self.pattern.nnz();
         let map_err = |source| SpiceError::SingularSystem { time: t, source };
         let mut any = false;
         for lane in 0..k {
             let mut need = false;
-            if want[lane] {
+            if self.want[lane] {
                 need = true;
                 if self.lu_valid[lane] && self.factored_once[lane] {
                     let unchanged = (0..nnz)
@@ -1041,6 +1078,225 @@ impl BatchWorkspace {
             }
         }
     }
+
+    /// One Newton iteration across the `busy` lanes, the transient's and
+    /// the DC operating point's alike: assemble each lane at its own
+    /// `(x, t)`, one vectorized residual `r = b − A·x`, the per-lane
+    /// refresh policy and masked refactor, one solve, then per-lane
+    /// convergence, damping and update of `x`. Each busy lane's
+    /// [`NewtonLane::outcome`] says what the pass concluded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::SingularSystem`] when the refactor fails.
+    // Lane loops deliberately index several parallel arrays by `lane`;
+    // the iterator forms clippy suggests obscure that symmetry.
+    #[allow(clippy::needless_range_loop)]
+    fn newton_pass(
+        &mut self,
+        seated: &dyn LaneCircuits,
+        x: &mut [f64],
+        t: &[f64],
+        companions: &Companions,
+        busy: &[bool],
+        stages: &mut StageTimers,
+    ) -> Result<(), SpiceError> {
+        let (k, n, n_nodes) = (self.k, self.n, self.n_node_unknowns);
+        let opts = self.newton_opts;
+        for lane in 0..k {
+            if busy[lane] {
+                self.stats[lane].newton_iterations += 1;
+            }
+        }
+        stages.lap(Stage::Lanes);
+        self.assemble(seated, x, t, companions);
+        stages.lap(Stage::Assemble);
+        self.pattern
+            .mul_vec_lanes_into(&self.values, k, x, &mut self.resid);
+        for (ri, bi) in self.resid.iter_mut().zip(&self.b) {
+            *ri = *bi - *ri;
+        }
+        self.rnorm.fill(0.0);
+        for i in 0..n {
+            for (lane, rn) in self.rnorm.iter_mut().enumerate() {
+                *rn = rn.max(self.resid[i * k + lane].abs());
+            }
+        }
+        stages.lap(Stage::Solve);
+        // Per-lane refresh policy, applied to each lane's own state.
+        for lane in 0..k {
+            self.want[lane] = false;
+            if !busy[lane] {
+                continue;
+            }
+            let nl = self.newton[lane];
+            let stalled = !nl.prev_damped && self.rnorm[lane] > STALL_RATIO * nl.prev_rnorm;
+            self.want[lane] = !self.lu_valid[lane]
+                || nl.stale_iters >= opts.max_stale
+                || stalled
+                || nl.prev_damped;
+        }
+        let t_repr = (0..k).find(|&l| self.want[l]).map_or(0.0, |l| t[l]);
+        self.refactor_lanes(t_repr, busy)?;
+        for lane in 0..k {
+            if busy[lane] {
+                if self.want[lane] {
+                    self.newton[lane].stale_iters = 0;
+                } else {
+                    self.newton[lane].stale_iters += 1;
+                }
+            }
+        }
+        stages.lap(Stage::Factor);
+        self.delta.copy_from_slice(&self.resid);
+        self.lu
+            .as_mut()
+            .expect("factorization exists after refactor")
+            .solve_in_place(&mut self.delta);
+        for lane in 0..k {
+            if busy[lane] {
+                self.stats[lane].solves += 1;
+                self.newton[lane].prev_rnorm = self.rnorm[lane];
+            }
+        }
+        stages.lap(Stage::Solve);
+
+        // Per-lane convergence, damping and update application.
+        let delta = &self.delta;
+        for lane in 0..k {
+            let nl = &mut self.newton[lane];
+            nl.outcome = Outcome::Pending;
+            if !busy[lane] {
+                continue;
+            }
+            let mut max_dv = 0.0f64;
+            let mut finite = true;
+            for i in 0..n {
+                let d = delta[i * k + lane];
+                finite &= d.is_finite();
+                if i < n_nodes {
+                    max_dv = max_dv.max(d.abs());
+                }
+            }
+            if !finite {
+                nl.outcome = Outcome::Failed;
+                continue;
+            }
+            let mut converged = max_dv <= opts.v_abstol;
+            if !converged {
+                converged = (0..n_nodes).all(|i| {
+                    let d = delta[i * k + lane];
+                    d.abs() <= opts.v_abstol + opts.reltol * (x[i * k + lane] + d).abs()
+                });
+            }
+            if converged {
+                for i in 0..n {
+                    x[i * k + lane] += delta[i * k + lane];
+                }
+                nl.outcome = Outcome::Converged;
+                continue;
+            }
+            let damped = max_dv > opts.v_step_limit;
+            let s = if damped {
+                opts.v_step_limit / max_dv
+            } else {
+                1.0
+            };
+            for i in 0..n {
+                x[i * k + lane] += s * delta[i * k + lane];
+            }
+            nl.prev_damped = damped;
+            nl.iter += 1;
+            if nl.iter >= opts.max_iterations {
+                nl.outcome = Outcome::Failed;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The DC operating point's Newton: one lane of the lane engine with
+/// capacitors open (zero companions), the sources held at α times their
+/// t = 0 values, the workspace's `gmin` as the homotopy shunt, and full
+/// Newton (`max_stale = 0`: DC starts far from the solution, where a
+/// stale Jacobian can cycle). Factors and counters carry over from one
+/// solve to the next, as the homotopy steps of [`Circuit::dcop`] run.
+pub(crate) struct DcNewton<'a> {
+    ckt: &'a Circuit,
+    ws: BatchWorkspace,
+    companions: Companions,
+}
+
+impl<'a> DcNewton<'a> {
+    /// A DC lane for `ckt` whose solves each get `max_iterations`
+    /// Newton iterations.
+    pub(crate) fn new(ckt: &'a Circuit, max_iterations: usize) -> Self {
+        let opts = NewtonOpts {
+            max_iterations,
+            max_stale: 0,
+            ..NewtonOpts::default()
+        };
+        let ws = BatchWorkspace::new(&[ckt], opts).expect("one circuit shares its own topology");
+        let caps = ckt
+            .elements
+            .iter()
+            .filter(|e| matches!(e, Element::Capacitor { .. }))
+            .count();
+        Self {
+            ckt,
+            ws,
+            companions: Companions {
+                geq: vec![0.0; caps],
+                ieq: vec![0.0; caps],
+            },
+        }
+    }
+
+    /// Runs Newton from `x` with sources scaled by `alpha` and a `gmin`
+    /// node shunt: the converged unknowns, or `None` when the budget runs
+    /// out or an update is not finite.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::SingularSystem`] when the Jacobian cannot be
+    /// factored.
+    pub(crate) fn solve(
+        &mut self,
+        mut x: Vec<f64>,
+        alpha: f64,
+        gmin: f64,
+    ) -> Result<Option<Vec<f64>>, SpiceError> {
+        let seated: &[&Circuit] = &[self.ckt];
+        self.ws.gmin = gmin;
+        self.ws.hold_sources(&seated, alpha);
+        self.ws.newton[0].restart();
+        let mut stages = StageTimers::off();
+        loop {
+            self.ws.newton_pass(
+                &seated,
+                &mut x,
+                &[0.0],
+                &self.companions,
+                &[true],
+                &mut stages,
+            )?;
+            match self.ws.newton[0].outcome {
+                Outcome::Pending => {}
+                Outcome::Converged => return Ok(Some(x)),
+                Outcome::Failed => return Ok(None),
+            }
+        }
+    }
+
+    /// Newton iterations the last solve spent before it stopped.
+    pub(crate) fn iterations(&self) -> usize {
+        self.ws.newton[0].iter
+    }
+
+    /// Work counters of every solve so far.
+    pub(crate) fn stats(&self) -> SolverStats {
+        self.ws.stats[0]
+    }
 }
 
 /// Where one device slot's outputs sit in the evaluated block's scratch.
@@ -1095,15 +1351,48 @@ enum LanePhase {
     Newton,
 }
 
-/// Outcome of one super-iteration for one lane.
+/// Outcome of one Newton pass for one lane.
 #[derive(Clone, Copy, PartialEq)]
 enum Outcome {
     /// Still iterating (or idle).
     Pending,
-    /// Newton converged; step acceptance (LTE) pending.
+    /// Newton converged (a transient lane's step acceptance is pending).
     Converged,
     /// Newton exhausted its budget or produced a non-finite update.
     Failed,
+}
+
+/// One lane's progress in its current Newton solve, kept by the
+/// workspace beside the lane's factors.
+#[derive(Clone, Copy)]
+struct NewtonLane {
+    /// Iterations of the current solve that did not converge.
+    iter: usize,
+    prev_rnorm: f64,
+    prev_damped: bool,
+    /// Iterations since the lane's factors were refreshed.
+    stale_iters: usize,
+    /// What the last pass concluded.
+    outcome: Outcome,
+}
+
+impl NewtonLane {
+    /// A freshly seated lane.
+    const SEATED: Self = Self {
+        iter: 0,
+        prev_rnorm: f64::INFINITY,
+        prev_damped: false,
+        stale_iters: 0,
+        outcome: Outcome::Pending,
+    };
+
+    /// Starts a new solve: the iteration count and the stall and damping
+    /// memory restart, the staleness count stays with the factors.
+    fn restart(&mut self) {
+        self.iter = 0;
+        self.prev_rnorm = f64::INFINITY;
+        self.prev_damped = false;
+    }
 }
 
 /// The transient-stepping state of one lane: the die's own clock, step
@@ -1128,12 +1417,6 @@ struct LaneState {
     steps: usize,
     /// Newton-failure halvings within the current step (fixed grid).
     halvings: u32,
-    /// Newton iterations spent on the current trial step.
-    iter: usize,
-    prev_rnorm: f64,
-    prev_damped: bool,
-    /// Iterations since this lane's factors were refreshed.
-    stale_iters: usize,
     /// Rising crossings seen so far (stop condition).
     crossings: usize,
     /// Stop-node voltage at the previous accepted step.
@@ -1155,10 +1438,6 @@ impl LaneState {
             has_hist: false,
             steps: 0,
             halvings: 0,
-            iter: 0,
-            prev_rnorm: f64::INFINITY,
-            prev_damped: false,
-            stale_iters: 0,
             crossings: 0,
             stop_prev,
         }
@@ -1211,6 +1490,15 @@ struct StageTimers {
 }
 
 impl StageTimers {
+    /// Timers that record nothing: DC solves feed no stage histogram.
+    fn off() -> Self {
+        Self {
+            hists: None,
+            spent: [Duration::ZERO; 4],
+            mark: Instant::now(),
+        }
+    }
+
     /// Starts the first super-iteration at `mark`.
     fn start(mark: Instant) -> Self {
         Self {
@@ -1322,19 +1610,17 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
         source: &'a mut dyn FnMut() -> Option<C>,
         sink: &'a mut dyn FnMut(usize, TransientResult),
     ) -> Result<Self, SpiceError> {
+        let x0 = initial_iterate(seated[0].borrow(), &spec.initial_voltages)?;
         let ws = {
             let refs: Vec<&Circuit> = seated.iter().map(Borrow::borrow).collect();
-            BatchWorkspace::new(&refs)?
+            let opts = NewtonOpts {
+                max_iterations: spec.max_newton,
+                ..NewtonOpts::default()
+            };
+            BatchWorkspace::new(&refs, opts)?
         };
         let (k, n, n_node_unknowns) = (ws.k, ws.n, ws.n_node_unknowns);
         let c0: &Circuit = seated[0].borrow();
-
-        let mut x0 = vec![0.0f64; n];
-        for &(node, v) in &spec.initial_voltages {
-            if let Some(r) = row_of(node) {
-                x0[r] = v;
-            }
-        }
 
         let cap_nodes: Vec<(NodeId, NodeId)> = c0
             .elements
@@ -1454,10 +1740,6 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
     // the iterator forms clippy suggests obscure that symmetry.
     #[allow(clippy::needless_range_loop)]
     fn run(&mut self) -> Result<(), SpiceError> {
-        let opts = NewtonOpts {
-            max_iterations: self.spec.max_newton,
-            ..NewtonOpts::default()
-        };
         let adaptive = match self.spec.step {
             StepControl::Fixed => None,
             StepControl::Adaptive(c) => Some(c),
@@ -1492,11 +1774,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
         let mut lap = Instant::now();
         let mut stages = StageTimers::start(lap);
 
-        let mut delta = vec![0.0f64; n * k];
-        let mut rnorm = vec![0.0f64; k];
-        let mut want = vec![false; k];
         let mut busy = vec![false; k];
-        let mut outcome = vec![Outcome::Pending; k];
         // Occupancy only moves on retire/refill; recording the counter
         // track on change keeps the ring footprint proportional to the
         // number of seatings, not super-iterations.
@@ -1549,134 +1827,19 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                     }
                 }
                 self.t_eval[lane] = ls.t_next;
-                let ls = &mut self.lanes[lane];
-                ls.iter = 0;
-                ls.prev_rnorm = f64::INFINITY;
-                ls.prev_damped = false;
-                ls.phase = LanePhase::Newton;
+                self.ws.newton[lane].restart();
+                self.lanes[lane].phase = LanePhase::Newton;
             }
 
-            // One Newton iteration across all busy lanes: assemble every
-            // lane at its own (x_try, t), one vectorized residual + solve.
-            for lane in 0..k {
-                if busy[lane] {
-                    self.ws.stats[lane].newton_iterations += 1;
-                }
-            }
-            stages.lap(Stage::Lanes);
-            self.ws
-                .assemble(&self.seats, &self.x_try, &self.t_eval, &self.companions);
-            stages.lap(Stage::Assemble);
-            let mut resid = std::mem::take(&mut self.ws.resid);
-            self.ws
-                .pattern
-                .mul_vec_lanes_into(&self.ws.values, k, &self.x_try, &mut resid);
-            for (ri, bi) in resid.iter_mut().zip(&self.ws.b) {
-                *ri = *bi - *ri;
-            }
-            rnorm.fill(0.0);
-            for i in 0..n {
-                for (lane, rn) in rnorm.iter_mut().enumerate() {
-                    *rn = rn.max(resid[i * k + lane].abs());
-                }
-            }
-            stages.lap(Stage::Solve);
-            // Per-lane refresh policy, applied to each lane's own state.
-            for lane in 0..k {
-                want[lane] = false;
-                if !busy[lane] {
-                    continue;
-                }
-                let ls = self.lanes[lane];
-                let stalled = !ls.prev_damped && rnorm[lane] > STALL_RATIO * ls.prev_rnorm;
-                want[lane] = !self.ws.lu_valid[lane]
-                    || ls.stale_iters >= opts.max_stale
-                    || stalled
-                    || ls.prev_damped;
-            }
-            let t_repr = (0..k)
-                .find(|&l| want[l])
-                .map(|l| self.t_eval[l])
-                .unwrap_or(0.0);
-            if let Err(e) = self.ws.refactor_lanes(t_repr, &want, &busy) {
-                self.ws.resid = resid;
-                return Err(e);
-            }
-            for lane in 0..k {
-                if busy[lane] {
-                    if want[lane] {
-                        self.lanes[lane].stale_iters = 0;
-                    } else {
-                        self.lanes[lane].stale_iters += 1;
-                    }
-                }
-            }
-            stages.lap(Stage::Factor);
-            delta.copy_from_slice(&resid);
-            self.ws.resid = resid;
-            self.ws
-                .lu
-                .as_mut()
-                .expect("factorization exists after refactor")
-                .solve_in_place(&mut delta);
-            for lane in 0..k {
-                if busy[lane] {
-                    self.ws.stats[lane].solves += 1;
-                    self.lanes[lane].prev_rnorm = rnorm[lane];
-                }
-            }
-            stages.lap(Stage::Solve);
-
-            // Per-lane convergence, damping and update application.
-            for lane in 0..k {
-                outcome[lane] = Outcome::Pending;
-                if !busy[lane] {
-                    continue;
-                }
-                let mut max_dv = 0.0f64;
-                let mut finite = true;
-                for i in 0..n {
-                    let d = delta[i * k + lane];
-                    finite &= d.is_finite();
-                    if i < n_nodes {
-                        max_dv = max_dv.max(d.abs());
-                    }
-                }
-                if !finite {
-                    outcome[lane] = Outcome::Failed;
-                    continue;
-                }
-                let mut converged = max_dv <= opts.v_abstol;
-                if !converged {
-                    converged = (0..n_nodes).all(|i| {
-                        let d = delta[i * k + lane];
-                        d.abs()
-                            <= opts.v_abstol + opts.reltol * (self.x_try[i * k + lane] + d).abs()
-                    });
-                }
-                if converged {
-                    for i in 0..n {
-                        self.x_try[i * k + lane] += delta[i * k + lane];
-                    }
-                    outcome[lane] = Outcome::Converged;
-                    continue;
-                }
-                let damped = max_dv > opts.v_step_limit;
-                let s = if damped {
-                    opts.v_step_limit / max_dv
-                } else {
-                    1.0
-                };
-                for i in 0..n {
-                    self.x_try[i * k + lane] += s * delta[i * k + lane];
-                }
-                let ls = &mut self.lanes[lane];
-                ls.prev_damped = damped;
-                ls.iter += 1;
-                if ls.iter >= opts.max_iterations {
-                    outcome[lane] = Outcome::Failed;
-                }
-            }
+            // One Newton iteration across all busy lanes.
+            self.ws.newton_pass(
+                &self.seats,
+                &mut self.x_try,
+                &self.t_eval,
+                &self.companions,
+                &busy,
+                &mut stages,
+            )?;
 
             // The smallest trial dt among busy lanes: the lockstep grid a
             // v1-style engine would have imposed on everyone.
@@ -1698,7 +1861,8 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
 
             // Step outcomes: LTE accept/reject, retirement, refill.
             for lane in 0..k {
-                match outcome[lane] {
+                let iter = self.ws.newton[lane].iter;
+                match self.ws.newton[lane].outcome {
                     Outcome::Pending => {}
                     Outcome::Converged => {
                         let ls = self.lanes[lane];
@@ -1757,7 +1921,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                         if let Some(h) = &newton_hist {
                             // `iter` counts the non-converging iterations of
                             // this attempt; the converging one makes +1.
-                            h.observe((ls.iter + 1) as f64);
+                            h.observe((iter + 1) as f64);
                         }
                         if let Some(h) = &lte_hist {
                             h.observe(self.lanes[lane].dt_prev);
@@ -1766,7 +1930,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                             rotsv_obs::record_event(
                                 rotsv_obs::EventKind::StepAccepted,
                                 lane_op(lane),
-                                (ls.iter + 1) as u32,
+                                (iter + 1) as u32,
                                 ls.dt_try,
                             );
                         }
@@ -1828,7 +1992,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                                 return Err(SpiceError::NoConvergence {
                                     analysis: "transient_stream",
                                     time: ls.t_next,
-                                    iterations: ls.iter,
+                                    iterations: iter,
                                 });
                             }
                             ls.dt_try = (ls.dt_try * 0.5).max(dt_min);
@@ -1838,7 +2002,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
                                 return Err(SpiceError::NoConvergence {
                                     analysis: "transient_stream",
                                     time: ls.t_next,
-                                    iterations: ls.iter,
+                                    iterations: iter,
                                 });
                             }
                             ls.dt_try *= 0.5;
@@ -1903,7 +2067,7 @@ impl<'a, C: Borrow<Circuit>> QueueEngine<'a, C> {
     }
 }
 
-fn validate_spec(ckt: &Circuit, spec: &TransientSpec) -> Result<(), SpiceError> {
+fn validate_spec(spec: &TransientSpec) -> Result<(), SpiceError> {
     if spec.dt <= 0.0 || !spec.dt.is_finite() {
         return Err(SpiceError::InvalidSpec(format!(
             "time step must be positive, got {}",
@@ -1930,14 +2094,32 @@ fn validate_spec(ckt: &Circuit, spec: &TransientSpec) -> Result<(), SpiceError> 
             )));
         }
     }
-    for &(node, _) in &spec.initial_voltages {
+    Ok(())
+}
+
+/// The unknown vector a solve starts from: zero but for the `initial`
+/// node voltages. The transient and the DC operating point share it.
+///
+/// # Errors
+///
+/// Returns [`SpiceError::InvalidCircuit`] when an initial voltage names a
+/// node `ckt` lacks.
+pub(crate) fn initial_iterate(
+    ckt: &Circuit,
+    initial: &[(NodeId, f64)],
+) -> Result<Vec<f64>, SpiceError> {
+    let mut x0 = vec![0.0; ckt.unknown_count()];
+    for &(node, v) in initial {
         if node.index() >= ckt.node_count() {
             return Err(SpiceError::InvalidCircuit(format!(
                 "initial condition on unknown node {node}"
             )));
         }
+        if let Some(r) = row_of(node) {
+            x0[r] = v;
+        }
     }
-    Ok(())
+    Ok(x0)
 }
 
 /// Streams dies through `lanes` SIMD lanes with mid-transient refill:
@@ -2006,10 +2188,10 @@ pub fn transient_stream<C: Borrow<Circuit>>(
             None => break,
         }
     }
-    let Some(first) = seated.first() else {
+    if seated.is_empty() {
         return Ok(0);
-    };
-    validate_spec(first.borrow(), spec)?;
+    }
+    validate_spec(spec)?;
     let span = rotsv_obs::span!("transient_stream", "k" = seated.len());
     let _ = &span;
     let ring = rotsv_obs::events_enabled();

@@ -10,7 +10,8 @@
 //!   arbitrary nonlinear devices (MOSFETs are supplied by `rotsv-mosfet`
 //!   through the [`NonlinearDevice`] trait),
 //! * a Newton–Raphson **DC operating point** with gmin and source stepping
-//!   ([`dcop`]),
+//!   ([`dcop`]), each solve a one-lane run of the lane engine's Newton
+//!   pass held at DC,
 //! * **transient analysis** with trapezoidal or backward-Euler integration,
 //!   per-step Newton iteration, fixed or local-truncation-error-adaptive
 //!   time stepping ([`StepControl`]) and automatic sub-stepping on
@@ -24,7 +25,9 @@
 //!   dropped when its lane refills, so session memory is proportional to
 //!   the lanes, not to the dies run. Every ring measurement runs on it,
 //!   one lane or many, and [`Circuit::transient`] is a one-lane session
-//!   of it for single circuits (all started from given initial voltages),
+//!   of it for single circuits (all started from given initial voltages).
+//!   Its Newton pass, its assembly and its batched LU are the only ones:
+//!   the DC operating point and the transient share them,
 //! * **waveform post-processing**: threshold crossings, propagation delay
 //!   and oscillation-period extraction with sub-step interpolation
 //!   ([`waveform`]).

@@ -66,15 +66,6 @@ impl DelayTable {
         // Delay ≈ 0.69·R·C for an RC-dominated output.
         (last.tplh_or_tphl - first.tplh_or_tphl) / (0.69 * (last.load - first.load))
     }
-
-    /// Zero-load (intrinsic) delay, seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table is empty.
-    pub fn intrinsic_delay(&self) -> f64 {
-        self.points.first().expect("non-empty").tplh_or_tphl
-    }
 }
 
 /// Characterizes `cell` at `vdd` across `loads` (farads, ascending).
@@ -205,8 +196,9 @@ mod tests {
     #[test]
     fn receiver_buffer_characterizes() {
         let t = characterize(CharCell::ReceiverBuffer, 1.1, &[1e-15, 10e-15]).unwrap();
-        assert!(t.intrinsic_delay() > 0.0);
-        assert!(t.intrinsic_delay() < 100e-12);
+        let intrinsic = t.points[0].tplh_or_tphl;
+        assert!(intrinsic > 0.0);
+        assert!(intrinsic < 100e-12);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * forcing the dispatch level to Scalar / AVX2 / AVX-512 (clamped to
 //!   what the host supports) does not change a single bit, at K = 32
 //!   and at the small widths (1, 2, 3, 14) whose MOSFET blocks span
-//!   several transistor slots.
+//!   several transistor slots, nor in a DC operating point, which runs
+//!   the same device-bank and LU kernels on one lane.
 //!
 //! Level flips in the ISA test are safe to run concurrently with the
 //! other tests in this binary precisely *because* of the bit-identity
@@ -25,8 +26,12 @@
 
 use proptest::prelude::*;
 use rotsv::mc::delta_t_fault_sweep_with_engine;
+use rotsv::mosfet::model::Nominal;
+use rotsv::mosfet::tech45::DriveStrength;
 use rotsv::num::simd::{self, Level};
 use rotsv::num::units::Ohms;
+use rotsv::spice::{Circuit, DcOpSpec, SourceWaveform};
+use rotsv::stdcell::CellBuilder;
 use rotsv::tsv::TsvFault;
 use rotsv::variation::ProcessSpread;
 use rotsv::{McDeltaT, McEngine, TestBench};
@@ -150,6 +155,44 @@ fn small_lane_results_are_isa_invariant() {
             let label = format!("{} at K = {lanes} vs scalar K = 1", got.name());
             assert_bits_identical(&label, reference, &run);
         }
+    }
+    simd::set_level(simd::detected());
+}
+
+/// The DC operating point of a disabled X4 tri-state buffer whose output
+/// a 1 MΩ resistor pulls down, a circuit that needs gmin stepping,
+/// gives the same bits for every unknown at every dispatch level.
+#[test]
+fn dc_operating_point_is_isa_invariant() {
+    const VDD: f64 = 1.1;
+    let mut ckt = Circuit::new();
+    let vdd = ckt.node("vdd");
+    ckt.add_vsource(vdd, Circuit::GROUND, SourceWaveform::dc(VDD));
+    let input = ckt.node("in");
+    ckt.add_vsource(input, Circuit::GROUND, SourceWaveform::dc(VDD));
+    let en = ckt.node("en");
+    let en_b = ckt.node("enb");
+    ckt.add_vsource(en, Circuit::GROUND, SourceWaveform::dc(0.0));
+    ckt.add_vsource(en_b, Circuit::GROUND, SourceWaveform::dc(VDD));
+    let out = ckt.node("out");
+    ckt.add_resistor(out, Circuit::GROUND, 1e6);
+    let mut vary = Nominal;
+    let mut cells = CellBuilder::new(&mut ckt, vdd, &mut vary);
+    cells.tri_state_buffer("u", input, out, en, en_b, DriveStrength::X4);
+
+    let mut reference = None;
+    for want in [Level::Scalar, Level::Avx2, Level::Avx512] {
+        let got = simd::set_level(want);
+        assert!(got <= simd::detected());
+        let sol = ckt.dcop(&DcOpSpec::default()).unwrap();
+        assert!(
+            sol.voltage(out) < 0.05,
+            "released output at {}",
+            sol.voltage(out)
+        );
+        let bits: Vec<u64> = sol.as_slice().iter().map(|v| v.to_bits()).collect();
+        let reference = reference.get_or_insert_with(|| bits.clone());
+        assert_eq!(*reference, bits, "{} vs scalar", got.name());
     }
     simd::set_level(simd::detected());
 }
